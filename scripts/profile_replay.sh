@@ -7,8 +7,7 @@
 #   SCALE   trace scale relative to the paper's full trace (default 0.05)
 #   POLICY  policy to replay (default LRU)
 # Extra arguments are passed through to `webcache simulate`, e.g.
-# --kernel=off (profile the virtual path), --cache-fraction=0.08,
-# --stream --chunk=4096.
+# --cache-fraction=0.08, --stream --chunk=4096.
 #
 # Profiler selection: `perf record` with DWARF call graphs when perf is
 # installed, otherwise gprof via a -pg instrumented build. Either way the

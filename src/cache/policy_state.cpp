@@ -46,7 +46,7 @@ void save_list(util::StateWriter& w, const LruIndexList& list) {
 }
 
 std::vector<ObjectId> take_id_run(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(sizeof(std::uint64_t), "id run");
   std::vector<ObjectId> ids;
   ids.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) ids.push_back(r.take_u64());
@@ -289,7 +289,8 @@ void SecondChancePolicy::save_state(util::StateWriter& w) const {
 }
 
 void SecondChancePolicy::restore_state(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(
+      sizeof(std::uint64_t) + sizeof(std::uint32_t), "clock ring");
   std::vector<std::pair<ObjectId, std::uint32_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -324,7 +325,8 @@ void DelayLruPolicy::save_state(util::StateWriter& w) const {
 }
 
 void DelayLruPolicy::restore_state(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n =
+      r.take_count(2 * sizeof(std::uint64_t), "delay-lru order");
   std::vector<std::pair<ObjectId, std::uint64_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -366,7 +368,7 @@ void BetaEstimator::restore_state(util::StateReader& r) {
   beta_ = r.take_double();
   samples_ = r.take_u64();
   since_refit_ = r.take_u64();
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(sizeof(double), "beta histogram");
   std::vector<double> counts;
   counts.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) counts.push_back(r.take_double());

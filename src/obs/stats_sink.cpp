@@ -198,6 +198,15 @@ void save_counters(util::StateWriter& w, const WindowCounters& c) {
   w.put_u64(c.lost_bytes);
 }
 
+// Serialized sizes, which bound the element counts read back on restore.
+constexpr std::size_t kCountersBytes = 8 * sizeof(std::uint64_t);
+constexpr std::size_t kClassCountersBytes =
+    (1 + trace::kDocumentClassCount) * kCountersBytes;
+constexpr std::size_t kSampleBytes =
+    kClassCountersBytes + 12 * sizeof(std::uint64_t) + 2 * (1 + sizeof(double));
+constexpr std::size_t kCurveHeaderBytes =
+    sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+
 void restore_counters(util::StateReader& r, WindowCounters& c) {
   c.requests = r.take_u64();
   c.hits = r.take_u64();
@@ -278,7 +287,7 @@ void save_curve(util::StateWriter& w, const WarmupCurve& curve) {
 void restore_curve(util::StateReader& r, WarmupCurve& curve) {
   curve.node = r.take_u32();
   curve.recovered_at = r.take_u64();
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(kClassCountersBytes, "warm-up window");
   curve.windows.resize(static_cast<std::size_t>(n));
   for (WarmupWindow& win : curve.windows) restore_warmup_window(r, win);
 }
@@ -312,10 +321,12 @@ void RecordingSink::restore_state(util::StateReader& r) {
            std::to_string(series_.window_requests) + ")");
   }
   series_.total_requests = r.take_u64();
-  series_.windows.resize(static_cast<std::size_t>(r.take_u64()));
+  series_.windows.resize(
+      static_cast<std::size_t>(r.take_count(kSampleBytes, "metrics window")));
   for (WindowSample& s : series_.windows) restore_sample(r, s);
   series_.fault_nodes = r.take_u64();
-  series_.warmup_curves.resize(static_cast<std::size_t>(r.take_u64()));
+  series_.warmup_curves.resize(static_cast<std::size_t>(
+      r.take_count(kCurveHeaderBytes, "warm-up curve")));
   for (WarmupCurve& c : series_.warmup_curves) restore_curve(r, c);
   restore_sample(r, current_);
   window_open_ = r.take_bool();

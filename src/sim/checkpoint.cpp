@@ -13,13 +13,17 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 
-#include "sim/checkpoint_impl.hpp"
-#include "sim/kernel.hpp"
+#include "obs/stats_sink.hpp"
+#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
+#include "trace/online_densify.hpp"
+#include "trace/request_stream.hpp"
 #include "util/state_io.hpp"
 
 namespace webcache::sim {
@@ -34,22 +38,20 @@ constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;
 
-}  // namespace
-
-std::uint64_t detail::checkpoint_env_u64(const char* name) {
+/// Environment-variable crash/fault hooks (0 when unset).
+std::uint64_t checkpoint_env_u64(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return 0;
   return std::strtoull(value, nullptr, 10);
 }
 
-std::string detail::checkpoint_file_name(std::uint64_t consumed) {
+/// Zero-padded "checkpoint-<consumed>.wckp" file name.
+std::string checkpoint_file_name(std::uint64_t consumed) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "checkpoint-%020llu%s",
                 static_cast<unsigned long long>(consumed), kFileSuffix);
   return buf;
 }
-
-namespace {
 
 /// All checkpoint files in `dir`, sorted ascending by name (the zero-padded
 /// request index makes lexicographic order chronological).
@@ -167,6 +169,12 @@ std::vector<CheckpointSection> decode_checkpoint(
                              std::to_string(version));
   }
   const std::uint32_t count = c.u32("section count");
+  // The smallest section record is 16 bytes (name length, payload length,
+  // CRC), so a count that cannot fit is damage, not a reserve() size.
+  if (count > (c.size - c.pos) / 16) {
+    throw std::runtime_error("section count " + std::to_string(count) +
+                             " exceeds the remaining bytes");
+  }
   std::vector<CheckpointSection> sections;
   sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -308,7 +316,10 @@ SimResult restore_sim_result(util::StateReader& r) {
   result.all_miss_latency_ms = r.take_double();
   result.modification_misses = r.take_u64();
   result.interrupted_transfers = r.take_u64();
-  const std::uint64_t samples = r.take_u64();
+  // One sample: request index, per-class objects and bytes, two totals.
+  constexpr std::size_t kSampleBytes =
+      sizeof(std::uint64_t) * (3 + 2 * trace::kDocumentClassCount);
+  const std::uint64_t samples = r.take_count(kSampleBytes, "occupancy sample");
   result.occupancy_series.reserve(static_cast<std::size_t>(samples));
   for (std::uint64_t i = 0; i < samples; ++i) {
     OccupancySample s;
@@ -438,6 +449,8 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   }
 }
 
+namespace {
+
 const CheckpointSection* find_section(
     const std::vector<CheckpointSection>& sections, const std::string& name) {
   for (const CheckpointSection& s : sections) {
@@ -446,6 +459,7 @@ const CheckpointSection* find_section(
   return nullptr;
 }
 
+/// Required-section lookup with a named diagnostic.
 const CheckpointSection& need_section(
     const std::vector<CheckpointSection>& sections, const std::string& name,
     const std::string& file) {
@@ -457,6 +471,15 @@ const CheckpointSection& need_section(
   return *s;
 }
 
+struct SelectedCheckpoint {
+  std::string file;  // file name (not full path), for diagnostics
+  std::vector<CheckpointSection> sections;
+};
+
+/// Newest structurally valid checkpoint in `dir`. Damaged files are skipped
+/// with a recorded diagnostic; if files exist but none validate, throws —
+/// the caller asked to resume and silently cold-starting would discard the
+/// run they meant to continue.
 std::optional<SelectedCheckpoint> select_resume_checkpoint(
     const std::string& dir) {
   g_resume_diagnostics.clear();
@@ -468,7 +491,7 @@ std::optional<SelectedCheckpoint> select_resume_checkpoint(
     try {
       std::vector<std::uint8_t> bytes = read_file_bytes(*it);
       SelectedCheckpoint selected;
-      selected.sections = detail::decode_checkpoint(bytes);
+      selected.sections = decode_checkpoint(bytes);
       selected.file = it->filename().string();
       if (it != files.rbegin()) {
         // Fell back past damaged newer checkpoints; the run will redo the
@@ -491,6 +514,7 @@ std::optional<SelectedCheckpoint> select_resume_checkpoint(
                            dir + "' (" + all + ")");
 }
 
+/// Retention: keep the newest `keep` checkpoint files, drop older ones.
 void prune_checkpoints(const std::string& dir, std::size_t keep) {
   if (keep == 0) keep = 1;
   std::vector<fs::path> files = list_checkpoints(dir);
@@ -501,14 +525,227 @@ void prune_checkpoints(const std::string& dir, std::size_t keep) {
   }
 }
 
+/// Fingerprint of a checkpointed run: the identity of the replayed state
+/// machine.
+CheckpointFingerprint make_stream_fingerprint(
+    const cache::CacheFrontend& frontend, const trace::RequestStream& stream,
+    const StreamCheckpointJob& job) {
+  CheckpointFingerprint fp;
+  fp.policy_description = frontend.description();
+  fp.capacity_bytes = frontend.capacity_bytes();
+  fp.warmup_fraction = job.options.warmup_fraction;
+  fp.modification_rule =
+      static_cast<std::uint8_t>(job.options.modification_rule);
+  fp.modification_threshold = job.options.modification_threshold;
+  fp.occupancy_samples = job.options.occupancy_samples;
+  fp.latency_setup_ms = job.options.latency_setup_ms;
+  fp.latency_bytes_per_ms = job.options.latency_bytes_per_ms;
+  fp.densified = job.densified;
+  fp.hot_capacity = job.densified ? job.densify_options.hot_capacity : 0;
+  fp.window_requests = job.sink != nullptr ? job.sink->window_requests() : 0;
+  fp.fault_hash = job.faults != nullptr ? fault_schedule_hash(*job.faults) : 0;
+  fp.trace_source = job.checkpoint.trace_source;
+  fp.total_requests = stream.total_requests();
+  fp.seed = job.checkpoint.seed;
+  return fp;
+}
+
+template <bool Densified, typename Sink, typename Faults>
+CheckpointedRun run_checkpointed(trace::RequestStream& stream,
+                                 cache::CacheFrontend& frontend,
+                                 const StreamCheckpointJob& job,
+                                 const CheckpointFingerprint& fp, Sink& sink,
+                                 Faults* faults) {
+  namespace fs = std::filesystem;
+  constexpr bool kRecording = std::is_same_v<Sink, obs::RecordingSink>;
+  using LastSize = std::conditional_t<Densified, GrowingDenseLastSize,
+                                      SparseLastSize>;
+  constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
+
+  const CheckpointConfig& config = job.checkpoint;
+  auto last_size = [&] {
+    if constexpr (Densified) {
+      return LastSize{};
+    } else {
+      return LastSize(stream_reserve_hint(stream.total_requests()));
+    }
+  }();
+  std::optional<trace::OnlineDensifier> densifier;
+  if constexpr (Densified) densifier.emplace(job.densify_options);
+
+  if constexpr (kRecording) sink.begin_run(frontend);
+  ReplayCore<LastSize, Sink, Faults> core(
+      frontend, job.options, last_size, sink, stream.total_requests(), faults);
+
+  CheckpointedRun out;
+  std::uint64_t skip = 0;
+  if (config.resume) {
+    if (auto selected = select_resume_checkpoint(config.dir)) {
+      const std::string& file = selected->file;
+      const auto reader = [&](const CheckpointSection& s) {
+        return util::StateReader(s.payload.data(), s.payload.size(), s.name);
+      };
+      {
+        auto r = reader(need_section(selected->sections, "fingerprint", file));
+        validate_fingerprint(fp, restore_fingerprint(r), file);
+        r.expect_end();
+      }
+      std::uint64_t consumed = 0;
+      {
+        auto r = reader(need_section(selected->sections, "result", file));
+        consumed = r.take_u64();
+        core.restore(consumed, restore_sim_result(r));
+        r.expect_end();
+      }
+      {
+        auto r = reader(need_section(selected->sections, "cache", file));
+        frontend.restore_state(r);
+        r.expect_end();
+      }
+      {
+        auto r = reader(need_section(selected->sections, "lastsize", file));
+        last_size.restore_state(r);
+        r.expect_end();
+      }
+      if constexpr (Densified) {
+        auto r = reader(need_section(selected->sections, "densifier", file));
+        densifier->restore_state(r);
+        r.expect_end();
+      }
+      if constexpr (kRecording) {
+        auto r = reader(need_section(selected->sections, "metrics", file));
+        sink.restore_state(r);
+        r.expect_end();
+      }
+      if constexpr (kFaulted) {
+        // The schedule prefix is pure state: replay it without side effects
+        // (the crashed-cache contents and the sink's event counters were
+        // already restored above).
+        faults->advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
+      }
+      skip = consumed;
+      out.resumed_from = consumed;
+      stream.reset();
+    }
+  }
+
+  const std::uint64_t crash_at = checkpoint_env_u64("WEBCACHE_CRASH_AT_REQUEST");
+  const auto write_checkpoint = [&] {
+    std::vector<CheckpointSection> sections;
+    const auto add = [&sections](const char* name, util::StateWriter&& w) {
+      sections.push_back({name, w.take()});
+    };
+    {
+      util::StateWriter w;
+      save_fingerprint(w, fp);
+      add("fingerprint", std::move(w));
+    }
+    {
+      util::StateWriter w;
+      w.put_u64(core.consumed());
+      save_sim_result(w, core.result());
+      add("result", std::move(w));
+    }
+    {
+      util::StateWriter w;
+      frontend.save_state(w);
+      add("cache", std::move(w));
+    }
+    {
+      util::StateWriter w;
+      last_size.save_state(w);
+      add("lastsize", std::move(w));
+    }
+    if constexpr (Densified) {
+      util::StateWriter w;
+      densifier->save_state(w);
+      add("densifier", std::move(w));
+    }
+    if constexpr (kRecording) {
+      util::StateWriter w;
+      sink.save_state(w);
+      add("metrics", std::move(w));
+    }
+    const fs::path path =
+        fs::path(config.dir) / checkpoint_file_name(core.consumed());
+    atomic_write_file(path.string(), encode_checkpoint(sections));
+    prune_checkpoints(config.dir, config.keep);
+    ++out.checkpoints_written;
+  };
+
+  if (config.every != 0) {
+    std::error_code ec;
+    fs::create_directories(config.dir, ec);
+  }
+
+  for (auto chunk = stream.next_chunk(); !chunk.empty();
+       chunk = stream.next_chunk()) {
+    for (const trace::Request& r : chunk) {
+      if (skip > 0) {
+        // Fast-forward after resume: requests up to the checkpoint were
+        // already accounted; they must not touch the restored densifier or
+        // last-size state again.
+        --skip;
+        continue;
+      }
+      if (crash_at != 0 && core.consumed() + 1 == crash_at) {
+        std::raise(SIGKILL);
+      }
+      if constexpr (Densified) {
+        trace::Request dense = r;
+        dense.document = densifier->densify(r.document);
+        core.step(dense);
+      } else {
+        core.step(r);
+      }
+      const std::uint64_t done = core.consumed();
+      const bool stopping = config.stop_after_requests != 0 &&
+                            done == config.stop_after_requests;
+      if (config.every != 0 && (done % config.every == 0 || stopping)) {
+        write_checkpoint();
+      }
+      if (stopping) {
+        if constexpr (kRecording) sink.end_run();
+        out.result = core.finish();
+        out.stopped_early = true;
+        return out;
+      }
+    }
+  }
+  if constexpr (kRecording) sink.end_run();
+  out.result = core.finish();
+  return out;
+}
+
+template <bool Densified, typename Sink>
+CheckpointedRun dispatch_faults(trace::RequestStream& stream,
+                                cache::CacheFrontend& frontend,
+                                const StreamCheckpointJob& job,
+                                const CheckpointFingerprint& fp, Sink& sink) {
+  if (job.faults != nullptr) {
+    FaultRun run(*job.faults, frontend.fault_domains(), /*has_root=*/false);
+    return run_checkpointed<Densified, Sink, FaultRun>(stream, frontend, job,
+                                                       fp, sink, &run);
+  }
+  return run_checkpointed<Densified, Sink, NoFaultReplay>(stream, frontend,
+                                                          job, fp, sink,
+                                                          nullptr);
+}
+
+}  // namespace
 }  // namespace detail
 
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              cache::CacheFrontend& frontend,
                                              const StreamCheckpointJob& job) {
-  detail::checkpointed_precheck(job);
-  const CheckpointFingerprint fp = detail::make_stream_fingerprint(
-      frontend.description(), frontend.capacity_bytes(), stream, job);
+  detail::validate_options(job.options);
+  if ((job.checkpoint.every != 0 || job.checkpoint.resume) &&
+      job.checkpoint.dir.empty()) {
+    throw std::invalid_argument(
+        "simulate_stream_checkpointed: checkpoint dir required");
+  }
+  const CheckpointFingerprint fp =
+      detail::make_stream_fingerprint(frontend, stream, job);
   if (job.densified) {
     if (job.sink != nullptr) {
       return detail::dispatch_faults<true>(stream, frontend, job, fp,
@@ -529,19 +766,6 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              std::uint64_t capacity_bytes,
                                              const cache::PolicySpec& policy,
                                              const StreamCheckpointJob& job) {
-  // The kernel engine only supports plain jobs (no sink, no faults); an
-  // instrumented or fault-injected job falls back to the virtual path —
-  // routed_kernel then throws if the caller forced KernelMode::kOn.
-  if (job.sink == nullptr && job.faults == nullptr) {
-    if (auto kernel =
-            detail::routed_kernel(capacity_bytes, policy, job.options)) {
-      return kernel->run_stream_checkpointed(stream, job);
-    }
-  } else if (job.options.kernel == KernelMode::kOn) {
-    throw std::invalid_argument(
-        "KernelMode::kOn: checkpointed kernel replay supports neither a "
-        "RecordingSink nor a FaultSchedule");
-  }
   const std::uint64_t admission_limit =
       policy.kind == cache::PolicyKind::kLruThreshold
           ? policy.admission_threshold_bytes

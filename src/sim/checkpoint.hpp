@@ -125,13 +125,8 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              cache::CacheFrontend& frontend,
                                              const StreamCheckpointJob& job);
 
-/// PolicySpec-taking form: consults the kernel registry (sim/kernel.hpp)
-/// like simulate()/simulate_stream(). Kernel routing only applies to plain
-/// jobs (no sink, no faults — the combinations the monomorphized engine
-/// supports); instrumented or fault-injected jobs fall back to the virtual
-/// path, and SimulatorOptions::kernel == kOn then throws. Checkpoints are
-/// interchangeable between the kernel and virtual engines: both derive the
-/// same fingerprint and serialize identical state.
+/// PolicySpec-taking form: builds a SingleCacheFrontend (LRU-Threshold
+/// specs install their admission limit) and runs the frontend form.
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              std::uint64_t capacity_bytes,
                                              const cache::PolicySpec& policy,

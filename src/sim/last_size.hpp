@@ -53,6 +53,13 @@ inline SizeChange classify_size_change(std::uint64_t previous,
   return change;
 }
 
+/// The sparse last-size map cannot reserve for a whole stream (that is the
+/// point of streaming); cap the up-front reservation and let it grow.
+inline std::size_t stream_reserve_hint(std::uint64_t total_requests) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(total_requests, 1 << 20));
+}
+
 class SparseLastSize {
  public:
   explicit SparseLastSize(std::size_t expected) {
@@ -130,7 +137,7 @@ class GrowingDenseLastSize {
     for (const std::uint64_t v : last_) w.put_u64(v);
   }
   void restore_state(util::StateReader& r) {
-    const std::uint64_t n = r.take_u64();
+    const std::uint64_t n = r.take_count(sizeof(std::uint64_t), "last-size");
     last_.clear();
     last_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) last_.push_back(r.take_u64());

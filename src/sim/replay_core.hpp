@@ -12,12 +12,6 @@
 // The Faults parameter follows the sink pattern: the NoFaultReplay
 // instantiation compiles the fault-domain checks away entirely, so the
 // plain replay is still the pre-fault code path.
-//
-// The CacheT parameter is the monomorphization seam (sim/kernel.hpp): the
-// default cache::CacheFrontend instantiation dispatches access() virtually
-// as before, while a kernel instantiates the core on a concrete
-// CacheConcrete<Policy> so the container and policy code inline into
-// step(). Both run the same statements — bit-identity by construction.
 #pragma once
 
 #include <cmath>
@@ -38,8 +32,7 @@ namespace webcache::sim::detail {
 struct NoFaultReplay {};
 
 template <typename LastSize, obs::StatsSink Sink,
-          typename Faults = NoFaultReplay,
-          typename CacheT = cache::CacheFrontend>
+          typename Faults = NoFaultReplay>
 class ReplayCore {
   static constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
 
@@ -48,7 +41,7 @@ class ReplayCore {
   /// front) — it places the warm-up boundary and the occupancy stride
   /// exactly where a materialized replay would. `faults` must outlive the
   /// core and is ignored by the NoFaultReplay instantiation.
-  ReplayCore(CacheT& cache, const SimulatorOptions& options,
+  ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
              LastSize& last_size, Sink& sink, std::uint64_t total_requests,
              Faults* faults = nullptr)
       : cache_(cache),
@@ -198,7 +191,7 @@ class ReplayCore {
         OccupancySample{index_, cache_.occupancy()});
   }
 
-  CacheT& cache_;
+  cache::CacheFrontend& cache_;
   const SimulatorOptions& options_;
   LastSize& last_size_;
   Sink& sink_;

@@ -36,21 +36,6 @@ enum class ModificationRule {
   kNever,
 };
 
-/// Replay-engine selection for the PolicySpec-taking entry points
-/// (sim/kernel.hpp). Frontend-taking overloads always run the virtual path
-/// — the caller already committed to a concrete frontend object.
-enum class KernelMode : std::uint8_t {
-  /// Use a monomorphized kernel when one is registered for the policy,
-  /// fall back to the virtual path otherwise. The default: results are
-  /// bit-identical either way, the kernel is just faster.
-  kAuto,
-  /// Require a kernel; throw std::invalid_argument when the policy has
-  /// none registered (benchmarks and tests pin the engine this way).
-  kOn,
-  /// Always run the virtual path.
-  kOff,
-};
-
 struct SimulatorOptions {
   double warmup_fraction = 0.10;
   ModificationRule modification_rule = ModificationRule::kThreshold;
@@ -63,11 +48,6 @@ struct SimulatorOptions {
   /// defaults). Accounting only — it never influences replacement.
   double latency_setup_ms = 150.0;
   double latency_bytes_per_ms = 400.0;
-
-  /// Which replay engine the spec-taking entry points use. Not part of the
-  /// checkpoint fingerprint: both engines replay the identical state
-  /// machine, so kernel and virtual checkpoints are interchangeable.
-  KernelMode kernel = KernelMode::kAuto;
 };
 
 namespace detail {

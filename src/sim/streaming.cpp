@@ -1,9 +1,7 @@
 #include "sim/streaming.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "sim/kernel.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
@@ -17,13 +15,6 @@ std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
   return policy.kind == cache::PolicyKind::kLruThreshold
              ? policy.admission_threshold_bytes
              : 0;
-}
-
-// The sparse last-size map cannot reserve for the whole stream (that is the
-// point of streaming); cap the up-front reservation and let it grow.
-std::size_t reserve_hint(std::uint64_t total_requests) {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_requests, 1 << 20));
 }
 
 template <typename Core>
@@ -55,7 +46,8 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           cache::CacheFrontend& frontend,
                           const SimulatorOptions& options) {
   validate_options(options);
-  detail::SparseLastSize last_size(reserve_hint(stream.total_requests()));
+  detail::SparseLastSize last_size(
+      detail::stream_reserve_hint(stream.total_requests()));
   obs::NullSink sink;
   detail::ReplayCore<detail::SparseLastSize, obs::NullSink> core(
       frontend, options, last_size, sink, stream.total_requests());
@@ -66,9 +58,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           std::uint64_t capacity_bytes,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options);
@@ -79,9 +68,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, sink);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, sink);
@@ -92,9 +78,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, faults);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults);
@@ -106,9 +89,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults,
                           obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, faults, sink);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults, sink);
@@ -119,7 +99,8 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const SimulatorOptions& options,
                           obs::RecordingSink& sink) {
   validate_options(options);
-  detail::SparseLastSize last_size(reserve_hint(stream.total_requests()));
+  detail::SparseLastSize last_size(
+      detail::stream_reserve_hint(stream.total_requests()));
   sink.begin_run(frontend);
   detail::ReplayCore<detail::SparseLastSize, obs::RecordingSink> core(
       frontend, options, last_size, sink, stream.total_requests());
@@ -134,7 +115,8 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const FaultSchedule& faults) {
   validate_options(options);
   FaultRun run(faults, frontend.fault_domains(), /*has_root=*/false);
-  detail::SparseLastSize last_size(reserve_hint(stream.total_requests()));
+  detail::SparseLastSize last_size(
+      detail::stream_reserve_hint(stream.total_requests()));
   obs::NullSink sink;
   detail::ReplayCore<detail::SparseLastSize, obs::NullSink, FaultRun> core(
       frontend, options, last_size, sink, stream.total_requests(), &run);
@@ -148,7 +130,8 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           obs::RecordingSink& sink) {
   validate_options(options);
   FaultRun run(faults, frontend.fault_domains(), /*has_root=*/false);
-  detail::SparseLastSize last_size(reserve_hint(stream.total_requests()));
+  detail::SparseLastSize last_size(
+      detail::stream_reserve_hint(stream.total_requests()));
   sink.begin_run(frontend);
   detail::ReplayCore<detail::SparseLastSize, obs::RecordingSink, FaultRun>
       core(frontend, options, last_size, sink, stream.total_requests(), &run);
@@ -189,9 +172,6 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     trace::OnlineDensifier::Options densify_options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream_densified(stream, options, densify_options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options,
@@ -202,10 +182,6 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     obs::RecordingSink& sink, trace::OnlineDensifier::Options densify_options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream_densified(stream, options, sink,
-                                        densify_options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options, sink,

@@ -33,9 +33,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
 
 /// Convenience form mirroring simulate(trace, capacity, policy): builds a
 /// SingleCacheFrontend (LRU-Threshold specs install their admission limit).
-/// PolicySpec-taking overloads consult the kernel registry
-/// (SimulatorOptions::kernel, sim/kernel.hpp) and run monomorphized when a
-/// kernel is registered; frontend-taking overloads always run virtual.
 SimResult simulate_stream(trace::RequestStream& stream,
                           std::uint64_t capacity_bytes,
                           const cache::PolicySpec& policy,
@@ -96,7 +93,7 @@ SimResult simulate_stream_densified(
     const SimulatorOptions& options, obs::RecordingSink& sink,
     trace::OnlineDensifier::Options densify_options = {});
 
-/// PolicySpec-taking densified forms, kernel-routed like the plain ones.
+/// PolicySpec-taking densified forms.
 SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options = {},

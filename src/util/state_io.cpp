@@ -103,6 +103,16 @@ std::string StateReader::take_string() {
   return s;
 }
 
+std::uint64_t StateReader::take_count(std::size_t entry_bytes,
+                                      const char* field) {
+  const std::uint64_t n = take_u64();
+  if (n > remaining() / entry_bytes) {
+    fail(std::string(field) + " count " + std::to_string(n) +
+         " exceeds the " + std::to_string(remaining()) + " byte(s) left");
+  }
+  return n;
+}
+
 void StateReader::expect_end() const {
   if (!exhausted()) {
     throw StateError(section_, std::to_string(remaining()) +

@@ -77,6 +77,11 @@ class StateReader {
   bool take_bool();
   double take_double();
   std::string take_string();
+  /// Reads the element count of a `field` whose entries each take at least
+  /// `entry_bytes` bytes. Throws StateError naming the field when that many
+  /// entries cannot fit in the remaining bytes, so a corrupted count never
+  /// sizes a reserve() beyond the stream.
+  std::uint64_t take_count(std::size_t entry_bytes, const char* field);
 
   /// Bytes not yet consumed.
   std::size_t remaining() const { return size_ - pos_; }

@@ -94,11 +94,17 @@ TEST(CheckpointFuzz, EveryBitFlipDetected) {
   EXPECT_GT(throws, bytes.size());
 }
 
-TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
+/// Stops a checkpointed run of `policy` after 6000 requests, lets `rewire`
+/// edit the newest checkpoint's sections, re-encodes them (so every CRC
+/// validates again) as the only file in the directory, and resumes. The
+/// resume must throw std::runtime_error; returns its message. `rewire`
+/// also receives the number of objects resident at the stop.
+template <typename Rewire>
+std::string resume_rewired(const std::string& policy, Rewire rewire) {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
   const trace::Trace t = generator.generate();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;
-  const cache::PolicySpec spec = cache::policy_spec_from_name("LRU");
+  const cache::PolicySpec spec = cache::policy_spec_from_name(policy);
 
   const std::string dir = testing::TempDir() + "/webcache_ckpt_crosswire";
   fs::remove_all(dir);
@@ -108,21 +114,21 @@ TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
   job.checkpoint.every = 3000;
   job.checkpoint.trace_source = "synthetic-dfn-0.002";
   job.checkpoint.stop_after_requests = 6000;
+  std::uint64_t resident = 0;
   {
     trace::MemoryRequestStream stream(t, 4096);
     cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
-    ASSERT_TRUE(simulate_stream_checkpointed(stream, frontend, job)
+    EXPECT_TRUE(simulate_stream_checkpointed(stream, frontend, job)
                     .stopped_early);
+    resident = frontend.occupancy().total_objects;
   }
 
-  // Swap the payloads of two sections in the newest checkpoint: each CRC
-  // still validates, but the content belongs to the wrong subsystem.
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
+  if (files.empty()) return "no checkpoint written";
   const fs::path newest = files.back();
   for (const fs::path& older : files) {
     if (older != newest) fs::remove(older);  // no valid fallback may remain
@@ -134,15 +140,7 @@ TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
                  std::istreambuf_iterator<char>());
   }
   std::vector<CheckpointSection> sections = detail::decode_checkpoint(bytes);
-  CheckpointSection* cache_section = nullptr;
-  CheckpointSection* lastsize_section = nullptr;
-  for (CheckpointSection& s : sections) {
-    if (s.name == "cache") cache_section = &s;
-    if (s.name == "lastsize") lastsize_section = &s;
-  }
-  ASSERT_NE(cache_section, nullptr);
-  ASSERT_NE(lastsize_section, nullptr);
-  std::swap(cache_section->payload, lastsize_section->payload);
+  rewire(sections, resident);
   {
     const std::vector<std::uint8_t> rewired =
         detail::encode_checkpoint(sections);
@@ -155,18 +153,76 @@ TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
   job.checkpoint.resume = true;
   trace::MemoryRequestStream stream(t, 4096);
   cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
+  std::string what = "resumed silently";
   try {
     simulate_stream_checkpointed(stream, frontend, job);
-    FAIL() << "cross-wired checkpoint restored silently";
   } catch (const std::runtime_error& e) {
-    // The misdelivered payload fails section-level parsing, which names the
-    // section it was read as.
-    const std::string what = e.what();
+    what = e.what();
+  }
+  fs::remove_all(dir);
+  return what;
+}
+
+CheckpointSection& section_named(std::vector<CheckpointSection>& sections,
+                                 const std::string& name) {
+  for (CheckpointSection& s : sections) {
+    if (s.name == name) return s;
+  }
+  throw std::logic_error("no section '" + name + "'");
+}
+
+/// The policy state is the tail of the "cache" section; for the list and
+/// ring policies it is a u64 element count followed by `resident` entries
+/// of `entry_bytes` each. Overwrites that count with 2^50.
+void claim_huge_policy_count(std::vector<CheckpointSection>& sections,
+                             std::uint64_t resident, std::size_t entry_bytes) {
+  std::vector<std::uint8_t>& payload = section_named(sections, "cache").payload;
+  ASSERT_GE(payload.size(), 8 + entry_bytes * resident);
+  const std::size_t at = payload.size() - 8 - entry_bytes * resident;
+  std::uint64_t stored = 0;
+  for (int i = 0; i < 8; ++i) {
+    stored |= static_cast<std::uint64_t>(payload[at + i]) << (8 * i);
+  }
+  ASSERT_EQ(stored, resident) << "policy state layout changed";
+  const std::uint64_t huge = std::uint64_t{1} << 50;
+  for (int i = 0; i < 8; ++i) {
+    payload[at + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+}
+
+TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
+  // Swap the payloads of two sections: each CRC still validates, but the
+  // content belongs to the wrong subsystem. The misdelivered payload fails
+  // section-level parsing, which names the section it was read as.
+  {
+    const std::string what =
+        resume_rewired("LRU", [](std::vector<CheckpointSection>& sections,
+                                 std::uint64_t /*resident*/) {
+          std::swap(section_named(sections, "cache").payload,
+                    section_named(sections, "lastsize").payload);
+        });
     EXPECT_TRUE(what.find("cache") != std::string::npos ||
                 what.find("lastsize") != std::string::npos)
         << what;
   }
-  fs::remove_all(dir);
+  // A CRC-valid policy state whose element count claims 2^50 entries: the
+  // count must be rejected by name before it sizes any allocation.
+  {
+    const std::string what =
+        resume_rewired("LRU", [](std::vector<CheckpointSection>& sections,
+                                 std::uint64_t resident) {
+          claim_huge_policy_count(sections, resident, 8);  // u64 id
+        });
+    EXPECT_NE(what.find("id run count"), std::string::npos) << what;
+  }
+  {
+    const std::string what =
+        resume_rewired("CLOCK", [](std::vector<CheckpointSection>& sections,
+                                   std::uint64_t resident) {
+          claim_huge_policy_count(sections, resident, 12);  // id + counter
+        });
+    EXPECT_NE(what.find("clock ring count"), std::string::npos) << what;
+  }
 }
 
 TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {

@@ -73,10 +73,6 @@ int usage(std::ostream& os) {
         "  characterize TRACE [--squid] [--windows=N]\n"
         "  simulate TRACE --policy=NAME [--cache-mb=N | --cache-fraction=F]\n"
         "           [--warmup=0.1] [--mod-rule=threshold|any|never] [--squid]\n"
-        "           [--kernel=auto|on|off] (monomorphized replay kernels:\n"
-        "            auto uses a statically-dispatched kernel when one is\n"
-        "            registered for the policy — bit-identical results —\n"
-        "            on fails if none exists, off forces the virtual path)\n"
         "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
         "           (windowed per-class time series incl. aging L and GD*\n"
         "            beta traces; window defaults to ~1% of the trace)\n"
@@ -190,16 +186,6 @@ sim::SimulatorOptions simulator_options(const util::Args& args) {
     opts.modification_rule = sim::ModificationRule::kNever;
   } else {
     throw std::invalid_argument("--mod-rule must be threshold|any|never");
-  }
-  const std::string kernel = args.get("kernel", "auto");
-  if (kernel == "auto") {
-    opts.kernel = sim::KernelMode::kAuto;
-  } else if (kernel == "on") {
-    opts.kernel = sim::KernelMode::kOn;
-  } else if (kernel == "off") {
-    opts.kernel = sim::KernelMode::kOff;
-  } else {
-    throw std::invalid_argument("--kernel must be auto|on|off");
   }
   return opts;
 }
