@@ -57,6 +57,14 @@ struct PolicySpec {
 
 std::unique_ptr<ReplacementPolicy> make_policy(const PolicySpec& spec);
 
+/// The admission limit a cache running `spec` enforces (see
+/// Cache::set_admission_limit): LRU-Threshold's threshold, 0 (none) for
+/// every other policy.
+inline std::uint64_t admission_limit_of(const PolicySpec& spec) {
+  return spec.kind == PolicyKind::kLruThreshold ? spec.admission_threshold_bytes
+                                                : 0;
+}
+
 /// Parses the paper's names: "LRU", "LFU-DA", "GDS(1)", "GDS(packet)",
 /// "GD*(1)", "GD*(packet)", plus the baselines "FIFO", "SIZE", "LFU",
 /// "GDSF(1)", "GDSF(packet)", "LRU-MIN", "LRU-2" and "LRU-THOLD(<bytes>)".

@@ -766,12 +766,9 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              std::uint64_t capacity_bytes,
                                              const cache::PolicySpec& policy,
                                              const StreamCheckpointJob& job) {
-  const std::uint64_t admission_limit =
-      policy.kind == cache::PolicyKind::kLruThreshold
-          ? policy.admission_threshold_bytes
-          : 0;
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit);
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream_checkpointed(stream, frontend, job);
 }
 

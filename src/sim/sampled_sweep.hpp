@@ -35,6 +35,7 @@
 
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request.hpp"
 #include "trace/request_stream.hpp"
 
@@ -120,6 +121,10 @@ class SampledSweep {
   /// Convenience over a materialized trace.
   SampledCurve run(const trace::Trace& trace) const;
 
+  /// Over a densified trace. Sampling hashes the original ids, so the
+  /// curve equals run() over the trace before densify().
+  SampledCurve run(const trace::DenseTrace& trace) const;
+
   const SampledSweepConfig& config() const { return config_; }
 
   /// Rough peak-memory estimate for running the *exact* StackSweep over a
@@ -129,6 +134,12 @@ class SampledSweep {
       std::uint64_t total_requests);
 
  private:
+  /// original_ids, when set, maps each request's (dense) document id to
+  /// the id that is hashed and tracked.
+  SampledCurve run_stream(
+      trace::RequestStream& stream,
+      const std::vector<trace::DocumentId>* original_ids) const;
+
   SampledSweepConfig config_;
 };
 

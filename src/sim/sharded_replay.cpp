@@ -41,12 +41,6 @@ enum : std::uint8_t { kFlagModified = 1, kFlagInterrupted = 2 };
 
 using detail::validate_options;
 
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 std::uint64_t warmup_of(std::uint64_t total, const SimulatorOptions& options) {
   return static_cast<std::uint64_t>(
       std::floor(static_cast<double>(total) * options.warmup_fraction));
@@ -574,8 +568,8 @@ SimResult run_exact_pipeline(const trace::Trace& trace, std::uint64_t universe,
       universe > 0 ? annotate_dense(trace, universe, queues, options, threads)
                    : annotate_sparse(trace, queues, options, threads);
 
-  ExactCore core(ann.doc_count, capacity_bytes, admission_limit_of(policy),
-                 policy);
+  ExactCore core(ann.doc_count, capacity_bytes,
+                 cache::admission_limit_of(policy), policy);
   std::vector<std::uint8_t> outcomes(trace.requests.size(), 0);
   constexpr bool kInstrumented =
       std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
@@ -650,7 +644,7 @@ SimResult run_approx_pipeline(const trace::Trace& trace, std::uint64_t universe,
                           ? std::vector<std::uint64_t>(shards, 1)
                           : demand);
 
-  const std::uint64_t admission_limit = admission_limit_of(policy);
+  const std::uint64_t admission_limit = cache::admission_limit_of(policy);
   std::vector<ApproxShardState> states(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     states[s].frontend = std::make_unique<cache::SingleCacheFrontend>(

@@ -13,12 +13,6 @@ namespace {
 
 using detail::validate_options;
 
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 // Templated on the sink so the NullSink instantiation *is* the pre-obs
 // loop: the empty inline hook compiles away and results stay bit-identical
 // (tests/obs/obs_equivalence_test.cpp; bench/obs_overhead measures it).
@@ -41,7 +35,7 @@ SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
   return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  admission_limit_of(policy));
+                  cache::admission_limit_of(policy));
 }
 
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
@@ -99,7 +93,7 @@ SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const SimulatorOptions& options, obs::RecordingSink& sink) {
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
-                                      admission_limit_of(policy));
+                                      cache::admission_limit_of(policy));
   return simulate(trace, frontend, options, sink);
 }
 
@@ -108,7 +102,7 @@ SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const SimulatorOptions& options, obs::RecordingSink& sink) {
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
-                                      admission_limit_of(policy));
+                                      cache::admission_limit_of(policy));
   return simulate(trace, frontend, options, sink);
 }
 
@@ -116,7 +110,7 @@ SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
   return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  admission_limit_of(policy));
+                  cache::admission_limit_of(policy));
 }
 
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,

@@ -11,12 +11,6 @@ namespace {
 
 using detail::validate_options;
 
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 template <typename Core>
 SimResult drain(trace::RequestStream& stream, Core& core) {
   for (auto chunk = stream.next_chunk(); !chunk.empty();
@@ -58,8 +52,9 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           std::uint64_t capacity_bytes,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream(stream, frontend, options);
 }
 
@@ -68,8 +63,9 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           obs::RecordingSink& sink) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, sink);
 }
 
@@ -78,8 +74,9 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults);
 }
 
@@ -89,8 +86,9 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults,
                           obs::RecordingSink& sink) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults, sink);
 }
 
@@ -172,8 +170,9 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     trace::OnlineDensifier::Options densify_options) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options,
                                    densify_options);
 }
@@ -182,8 +181,9 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     obs::RecordingSink& sink, trace::OnlineDensifier::Options densify_options) {
-  cache::SingleCacheFrontend frontend(
-      capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
+  cache::SingleCacheFrontend frontend(capacity_bytes,
+                                      cache::make_policy(policy),
+                                      cache::admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options, sink,
                                    densify_options);
 }

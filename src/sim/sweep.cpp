@@ -195,8 +195,9 @@ std::vector<char> apply_sampling(const TraceT& trace,
   sampled.simulator = config.simulator;
   sampled.sample_rate = config.sample_rate;
   sampled.hash_seed = config.sample_seed;
-  const SampledCurve curve =
-      SampledSweep(std::move(sampled)).run(raw_trace(trace));
+  // The DenseTrace overload hashes original ids, so a densified sweep
+  // samples the same documents as the sparse one.
+  const SampledCurve curve = SampledSweep(std::move(sampled)).run(trace);
 
   for (SweepPoint& point : sweep.points) point.estimates.resize(columns);
   for (std::size_t f = 0; f < sweep.points.size(); ++f) {
@@ -243,17 +244,11 @@ std::unique_ptr<cache::CacheFrontend> build_frontend(
   return frontend;
 }
 
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 template <typename TraceT>
 SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   validate_policies(config);
   const std::size_t columns = config.policies.size();
-  SweepResult sweep = layout_grid(raw_trace(trace).overall_size_bytes(),
+  SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions, columns);
 
   // Fault-aware sweep: every cell replays the schedule against a fresh
@@ -266,7 +261,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
                 const cache::PolicySpec& spec = config.policies[p];
                 cache::SingleCacheFrontend frontend(
                     capacity, cache::make_policy(spec),
-                    admission_limit_of(spec));
+                    cache::admission_limit_of(spec));
                 return simulate(trace, frontend, config.simulator,
                                 config.faults);
               });
@@ -315,9 +310,9 @@ template <typename TraceT>
 SweepResult run_frontend_sweep(const TraceT& trace,
                                const FrontendSweepConfig& config) {
   validate_frontends(config);
-  SweepResult sweep =
-      layout_grid(raw_trace(trace).overall_size_bytes(),
-                  config.cache_fractions, config.frontends.size());
+  SweepResult sweep = layout_grid(trace.overall_size_bytes(),
+                                  config.cache_fractions,
+                                  config.frontends.size());
   fill_grid(sweep, config.frontends.size(), config.threads, {},
             [&](std::uint64_t capacity, std::size_t p) {
               const auto frontend = build_frontend(config, p, capacity);

@@ -40,6 +40,10 @@ struct DenseTrace {
   DocumentId original_id(DocumentId dense_id) const {
     return original_ids[dense_id];
   }
+
+  /// Trace::overall_size_bytes() over the dense ids: one pass into a flat
+  /// last-size array instead of a hash map keyed by document.
+  std::uint64_t overall_size_bytes() const;
 };
 
 /// One-pass remap (first appearance order). The copying overload leaves the

@@ -1,7 +1,7 @@
 // Bounded-memory online document-id densification.
 //
-// trace::densify() needs the whole trace in memory plus an unordered_map
-// over every distinct document. Streaming replay can afford neither, but
+// trace::densify() needs the whole trace in memory plus a hash table over
+// every distinct document. Streaming replay can afford neither, but
 // the dense fast path (flat arrays indexed by document id) is exactly what
 // makes billion-request replays feasible — so the renumbering itself has to
 // go online and bounded.

@@ -39,6 +39,14 @@ TEST(Factory, SpecFromNameSetsCostModel) {
   EXPECT_EQ(policy_spec_from_name("GDSF(1)").kind, PolicyKind::kGdsf);
 }
 
+TEST(Factory, AdmissionLimitIsTheLruThresholdOnly) {
+  EXPECT_EQ(admission_limit_of(policy_spec_from_name("LRU-THOLD(300000)")),
+            300000u);
+  for (const char* name : {"LRU", "LFU-DA", "GDS(1)", "GD*(packet)", "CLOCK"}) {
+    EXPECT_EQ(admission_limit_of(policy_spec_from_name(name)), 0u) << name;
+  }
+}
+
 TEST(Factory, UnknownNamesRejected) {
   EXPECT_THROW(policy_spec_from_name(""), std::invalid_argument);
   EXPECT_THROW(policy_spec_from_name("lru"), std::invalid_argument);

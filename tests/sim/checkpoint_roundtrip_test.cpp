@@ -83,12 +83,8 @@ trace::Trace recorded_trace() {
 
 cache::SingleCacheFrontend make_frontend(const cache::PolicySpec& spec,
                                          std::uint64_t capacity) {
-  const std::uint64_t admission_limit =
-      spec.kind == cache::PolicyKind::kLruThreshold
-          ? spec.admission_threshold_bytes
-          : 0;
   return cache::SingleCacheFrontend(capacity, cache::make_policy(spec),
-                                    admission_limit);
+                                    cache::admission_limit_of(spec));
 }
 
 /// A fresh, empty checkpoint directory under the test temp root.

@@ -3,7 +3,8 @@
 // result, the reported error must shrink as the rate grows, fixed seeds
 // must reproduce bit-identical curves, and rate == 1.0 must degenerate to
 // the exact engine. Plus the run_sweep routing: sampled cells are annotated
-// and never silently replace exact ones.
+// and never silently replace exact ones, and a densified trace samples the
+// same documents as the sparse one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request_stream.hpp"
 
 namespace webcache::sim {
@@ -313,6 +315,61 @@ TEST(SampledSweep, SweepJsonCarriesErrorBars) {
   write_sweep_json(exact_json, exact);
   EXPECT_EQ(exact_json.str().find("\"sampling\""), std::string::npos);
   EXPECT_EQ(exact_json.str().find("\"hit_rate_error\""), std::string::npos);
+}
+
+// ---- dense ids ----
+
+// SHARDS picks documents by hashing their ids. Densifying renumbers ids, so
+// a dense sweep must hash the original ids to sample the same document set
+// (and fold every sum in the same order); then the two sweeps serialize to
+// the same bytes, error bars included.
+TEST(SampledSweep, DenseSweepSamplesTheSparseDocumentSet) {
+  const trace::Trace& t = reference_trace();
+  const trace::DenseTrace dense = trace::densify(t);
+  SweepConfig config;
+  config.cache_fractions = {0.01, 0.04, 0.16};
+  config.policies = {cache::policy_spec_from_name("LRU"),
+                     cache::policy_spec_from_name("GD*(1)")};
+  config.sampling = SamplingMode::kOn;
+
+  for (const double rate : {0.1, 0.02}) {
+    for (const std::uint64_t seed : {config.sample_seed, std::uint64_t{7}}) {
+      config.sample_rate = rate;
+      config.sample_seed = seed;
+      const SweepResult sparse_sweep = run_sweep(t, config);
+      const SweepResult dense_sweep = run_sweep(dense, config);
+      ASSERT_TRUE(dense_sweep.sampled);
+      std::ostringstream sparse_json;
+      std::ostringstream dense_json;
+      write_sweep_json(sparse_json, sparse_sweep);
+      write_sweep_json(dense_json, dense_sweep);
+      EXPECT_EQ(sparse_json.str(), dense_json.str())
+          << "rate " << rate << ", seed " << seed;
+    }
+  }
+}
+
+TEST(SampledSweep, DenseCurveMatchesSparseUnderTheAdaptiveCap) {
+  const trace::Trace& t = reference_trace();
+  SampledSweepConfig config;
+  config.capacities = reference_ladder(t);
+  config.sample_rate = 0.2;
+  config.max_sampled_documents = 256;
+
+  const SampledCurve sparse = SampledSweep(config).run(t);
+  const SampledCurve dense = SampledSweep(config).run(trace::densify(t));
+  EXPECT_EQ(sparse.effective_rate, dense.effective_rate);
+  EXPECT_EQ(sparse.sampled_requests, dense.sampled_requests);
+  EXPECT_EQ(sparse.sampled_documents, dense.sampled_documents);
+  ASSERT_EQ(sparse.points.size(), dense.points.size());
+  for (std::size_t i = 0; i < sparse.points.size(); ++i) {
+    EXPECT_EQ(sparse.points[i].hit_rate, dense.points[i].hit_rate);
+    EXPECT_EQ(sparse.points[i].byte_hit_rate, dense.points[i].byte_hit_rate);
+    EXPECT_EQ(sparse.points[i].hit_rate_error,
+              dense.points[i].hit_rate_error);
+    EXPECT_EQ(sparse.points[i].byte_hit_rate_error,
+              dense.points[i].byte_hit_rate_error);
+  }
 }
 
 }  // namespace

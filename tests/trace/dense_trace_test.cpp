@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 
@@ -78,12 +81,54 @@ TEST(DenseTrace, SyntheticTraceIdsStayInBounds) {
   EXPECT_EQ(dense.trace.distinct_documents(), original.distinct_documents());
   EXPECT_EQ(dense.trace.requested_bytes(), original.requested_bytes());
   EXPECT_EQ(dense.trace.overall_size_bytes(), original.overall_size_bytes());
+  EXPECT_EQ(dense.overall_size_bytes(), original.overall_size_bytes());
+}
+
+TEST(DenseTrace, OverallSizeCountsEachDocumentAtItsLastSize) {
+  Trace t = tiny_trace();
+  Request resized = t.requests[0];
+  resized.document_size = 25;  // document 900 grows from 10 to 25 bytes
+  t.requests.push_back(resized);
+  const DenseTrace dense = densify(t);
+  EXPECT_EQ(dense.overall_size_bytes(), 25u + 20u + 30u);
+  EXPECT_EQ(dense.overall_size_bytes(), t.overall_size_bytes());
+}
+
+TEST(DenseTrace, MatchesAReferenceRenumberingAcrossTableGrowth) {
+  // Sequential, strided and scrambled ids, revisited out of order, so the
+  // id table grows many times and probes past occupied slots.
+  Trace t;
+  std::uint64_t x = 12345;
+  for (std::uint64_t i = 0; i < 30000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    Request r;
+    switch (i % 3) {
+      case 0: r.document = i / 3; break;
+      case 1: r.document = (x % 5000) << 40; break;
+      default: r.document = x >> (x % 48); break;
+    }
+    t.requests.push_back(r);
+  }
+  std::unordered_map<DocumentId, DocumentId> reference;
+  std::vector<DocumentId> expected;
+  for (const Request& r : t.requests) {
+    const auto [it, inserted] = reference.emplace(r.document, reference.size());
+    expected.push_back(it->second);
+  }
+
+  const DenseTrace dense = densify(t);
+  ASSERT_EQ(dense.document_count(), reference.size());
+  for (std::size_t i = 0; i < t.requests.size(); ++i) {
+    ASSERT_EQ(dense.trace.requests[i].document, expected[i]) << "request " << i;
+    ASSERT_EQ(dense.original_id(expected[i]), t.requests[i].document);
+  }
 }
 
 TEST(DenseTrace, EmptyTrace) {
   const DenseTrace dense = densify(Trace{});
   EXPECT_EQ(dense.document_count(), 0u);
   EXPECT_TRUE(dense.trace.requests.empty());
+  EXPECT_EQ(dense.overall_size_bytes(), 0u);
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include "synth/generator.hpp"
 #include "synth/profile_io.hpp"
 #include "trace/binary_trace.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/preprocess.hpp"
 #include "trace/streaming_trace.hpp"
 #include "trace/squid_log_writer.hpp"
@@ -307,7 +308,7 @@ int cmd_characterize(const util::Args& args) {
 }
 
 std::uint64_t capacity_from_args(const util::Args& args,
-                                 const trace::Trace& t) {
+                                 const trace::DenseTrace& t) {
   if (args.has("cache-mb")) {
     return args.get_uint("cache-mb", 64) * 1024 * 1024;
   }
@@ -529,7 +530,9 @@ int cmd_simulate(const util::Args& args) {
         "simulate: checkpoints are a streaming-replay feature — add "
         "--stream (and --cache-mb)");
   }
-  const trace::Trace t = [&args] {
+  // Materialized replays run on dense ids: densify once at load, then every
+  // container below is a flat array indexed by document.
+  const trace::DenseTrace t = trace::densify([&args] {
     if (!args.get_bool("recover", false)) {
       return load_trace(args.positional()[0], args.get_bool("squid", false));
     }
@@ -543,7 +546,7 @@ int cmd_simulate(const util::Args& args) {
         trace::read_binary_trace_file_recovering(args.positional()[0], report);
     print_recovery_summary(report);
     return recovered;
-  }();
+  }());
   const std::string policy = args.get("policy", "GD*(1)");
   const std::uint64_t capacity = capacity_from_args(args, t);
   const std::string metrics_path = args.get("metrics-out", "");
@@ -580,7 +583,7 @@ int cmd_simulate(const util::Args& args) {
   } else {
     // Instrumented replay: identical results, plus the windowed series.
     const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.total_requests() / 100);
+        std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
     r = sharded_run
             ? sim::simulate_sharded(t, capacity, spec, simulator_options(args),
@@ -677,8 +680,8 @@ int cmd_sweep(const util::Args& args) {
     throw std::invalid_argument("sweep: need a trace file");
   }
   if (args.get_bool("stream", false)) return cmd_sweep_stream(args);
-  const trace::Trace t =
-      load_trace(args.positional()[0], args.get_bool("squid", false));
+  const trace::DenseTrace t = trace::densify(
+      load_trace(args.positional()[0], args.get_bool("squid", false)));
 
   sim::SweepConfig config;
   config.simulator = simulator_options(args);
@@ -762,8 +765,8 @@ int cmd_hierarchy(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("hierarchy: need a trace file");
   }
-  const trace::Trace t =
-      load_trace(args.positional()[0], args.get_bool("squid", false));
+  const trace::DenseTrace t = trace::densify(
+      load_trace(args.positional()[0], args.get_bool("squid", false)));
   const double overall = static_cast<double>(t.overall_size_bytes());
 
   sim::HierarchyConfig config;
@@ -797,7 +800,7 @@ int cmd_hierarchy(const util::Args& args) {
     // Instrumented replay: identical results, plus the windowed series
     // (with per-window availability and warm-up curves under --faults).
     const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.total_requests() / 100);
+        std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
     r = have_faults ? sim::simulate_hierarchy(t, config, schedule, sink)
                     : sim::simulate_hierarchy(t, config, sink);
