@@ -85,10 +85,13 @@ class Cache {
   }
 
   /// Dense-id fast path: declares that every ObjectId passed to this cache
-  /// lies in [0, universe) — true for traces run through trace::densify().
-  /// The object table switches to a flat-indexed slab and the hint is
-  /// forwarded to the policy (ReplacementPolicy::reserve_ids). Results are
-  /// bit-identical to the hash-backed mode. Only legal while empty.
+  /// is a small dense id — true for traces run through trace::densify() and
+  /// streams run through trace::OnlineDensifier. The object table switches
+  /// to a flat-indexed slab and the hint is forwarded to the policy
+  /// (ReplacementPolicy::reserve_ids). `universe` is a capacity hint: the
+  /// flat indexes are sized for [0, universe) and grow by doubling when a
+  /// larger id arrives, so a stream passes 0. Results are bit-identical to
+  /// the hash-backed mode. Only legal while empty.
   void reserve_dense_ids(std::uint64_t universe) {
     if (!objects_.empty()) {
       throw std::logic_error("Cache: reserve_dense_ids on non-empty cache");
@@ -281,15 +284,8 @@ class Cache {
     for (const std::uint64_t n : class_objects_) w.put_u64(n);
     for (const std::uint64_t n : class_bytes_) w.put_u64(n);
 
-    std::vector<CacheObject> resident;
-    resident.reserve(static_cast<std::size_t>(objects_.size()));
-    objects_.for_each([&](const CacheObject& obj) { resident.push_back(obj); });
-    std::sort(resident.begin(), resident.end(),
-              [](const CacheObject& a, const CacheObject& b) {
-                return a.id < b.id;
-              });
-    w.put_u64(resident.size());
-    for (const CacheObject& obj : resident) {
+    w.put_u64(objects_.size());
+    objects_.for_each_by_id([&w](const CacheObject& obj) {
       w.put_u64(obj.id);
       w.put_u64(obj.size);
       w.put_u8(static_cast<std::uint8_t>(obj.doc_class));
@@ -297,7 +293,7 @@ class Cache {
       w.put_u64(obj.last_access);
       w.put_u64(obj.previous_access);
       w.put_u64(obj.insert_index);
-    }
+    });
 
     policy_->save_state(w);
   }
@@ -317,7 +313,7 @@ class Cache {
     const std::uint64_t count = r.take_u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       CacheObject obj;
-      obj.id = r.take_u64();
+      obj.id = r.take_id("resident object");
       obj.size = r.take_u64();
       const std::uint8_t cls = r.take_u8();
       if (cls >= trace::kDocumentClassCount) {

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "cache/dense_index.hpp"
+
 namespace webcache::cache {
 
 SecondChancePolicy::SecondChancePolicy(std::uint32_t counter_max)
@@ -19,13 +21,21 @@ void SecondChancePolicy::reserve_ids(std::uint64_t universe) {
 }
 
 std::uint32_t SecondChancePolicy::counter_of(ObjectId id) const {
-  if (dense_) return dense_counters_[static_cast<std::size_t>(id)];
+  if (dense_) {
+    return id < dense_counters_.size()
+               ? dense_counters_[static_cast<std::size_t>(id)]
+               : 0;
+  }
   const auto it = counters_.find(id);
   return it == counters_.end() ? 0 : it->second;
 }
 
 void SecondChancePolicy::set_counter(ObjectId id, std::uint32_t value) {
   if (dense_) {
+    if (id >= dense_counters_.size()) {
+      grow_dense_index(dense_counters_, id, std::uint32_t{0},
+                       "SecondChancePolicy");
+    }
     dense_counters_[static_cast<std::size_t>(id)] = value;
   } else if (value == 0) {
     counters_.erase(id);

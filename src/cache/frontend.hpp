@@ -17,10 +17,13 @@ class CacheFrontend {
                                       trace::DocumentClass doc_class,
                                       bool force_miss) = 0;
   /// Dense-id fast path hint: every ObjectId subsequently passed to this
-  /// frontend lies in [0, universe) — true for traces run through
-  /// trace::densify(). Composites forward the reservation to every
-  /// underlying cache so each switches its object table and policy indices
-  /// to flat arrays; results are bit-identical either way. Only legal while
+  /// frontend is a small dense id — true for traces run through
+  /// trace::densify() and streams run through trace::OnlineDensifier.
+  /// `universe` sizes the flat indexes up front; they grow past it, so a
+  /// stream whose universe is unknown passes 0. Composites forward the
+  /// reservation to every underlying cache so each switches its object
+  /// table and policy indices to flat arrays; results are bit-identical
+  /// either way. Only legal while
   /// the frontend is empty (implementations throw std::logic_error
   /// otherwise). The default ignores the hint: a frontend without
   /// array-backed state simply stays sparse.

@@ -8,9 +8,11 @@
 //
 // The key -> slot index has two modes. By default it is an unordered_map
 // (keys may be arbitrary, e.g. 64-bit URL hashes). After
-// reserve_dense_keys(universe) — legal for integral keys in [0, universe),
-// i.e. a densified trace — it is a flat vector, so the two slot updates per
-// sift step become plain array stores instead of hash probes.
+// reserve_dense_keys(universe) — legal for small non-negative integral
+// keys, i.e. a densified trace or stream — it is a flat vector, so the two
+// slot updates per sift step become plain array stores instead of hash
+// probes. The vector is sized for [0, universe) and grows when a pushed key
+// lies past its end (dense_index.hpp).
 //
 // Ties are broken by insertion sequence (FIFO among equal priorities), which
 // makes every policy fully deterministic and replay-stable; the index mode
@@ -23,6 +25,8 @@
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
+
+#include "cache/dense_index.hpp"
 
 namespace webcache::cache {
 
@@ -39,8 +43,9 @@ class IndexedMinHeap {
   std::size_t size() const { return heap_.size(); }
   bool contains(const Key& key) const { return find_slot(key) != kNoSlot; }
 
-  /// Switches the key -> slot index to a flat vector covering keys in
-  /// [0, universe). Only legal while empty; requires an integral Key.
+  /// Switches the key -> slot index to a flat vector, sized for keys in
+  /// [0, universe) and grown on demand. Only legal while empty; requires
+  /// an integral Key.
   void reserve_dense_keys(std::uint64_t universe) {
     static_assert(std::is_integral_v<Key>,
                   "dense key index requires an integral Key");
@@ -57,8 +62,8 @@ class IndexedMinHeap {
     if (contains(key)) {
       throw std::logic_error("IndexedMinHeap: duplicate key");
     }
+    index_new_key(key, heap_.size());
     heap_.push_back(Entry{key, priority, next_sequence_++});
-    set_slot(key, heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
 
@@ -130,8 +135,8 @@ class IndexedMinHeap {
     if (contains(key)) {
       throw std::logic_error("IndexedMinHeap: duplicate key");
     }
+    index_new_key(key, heap_.size());
     heap_.push_back(Entry{key, priority, sequence});
-    set_slot(key, heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
 
@@ -169,16 +174,22 @@ class IndexedMinHeap {
     return it == slots_.end() ? kNoSlot : it->second;
   }
 
+  /// Re-points a key already in the index (sift and removal moves).
   void set_slot(const Key& key, std::size_t slot) {
     if (dense_) {
-      const auto k = static_cast<std::size_t>(key);
-      if (k >= dense_slots_.size()) {
-        throw std::logic_error("IndexedMinHeap: key outside dense universe");
-      }
-      dense_slots_[k] = slot;
+      dense_slots_[static_cast<std::size_t>(key)] = slot;
     } else {
       slots_[key] = slot;
     }
+  }
+
+  /// Indexes a key that is not in the heap yet, growing the flat index.
+  void index_new_key(const Key& key, std::size_t slot) {
+    if (dense_ && static_cast<std::uint64_t>(key) >= dense_slots_.size()) {
+      grow_dense_index(dense_slots_, static_cast<std::uint64_t>(key), kNoSlot,
+                       "IndexedMinHeap");
+    }
+    set_slot(key, slot);
   }
 
   void erase_slot(const Key& key) {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "cache/dense_index.hpp"
+
 namespace webcache::cache {
 
 namespace {
@@ -74,13 +76,20 @@ void DelayLruPolicy::reserve_ids(std::uint64_t universe) {
 }
 
 std::uint64_t DelayLruPolicy::stamp_of(ObjectId id) const {
-  if (dense_) return dense_stamps_[static_cast<std::size_t>(id)];
+  if (dense_) {
+    return id < dense_stamps_.size()
+               ? dense_stamps_[static_cast<std::size_t>(id)]
+               : 0;
+  }
   const auto it = stamps_.find(id);
   return it == stamps_.end() ? 0 : it->second;
 }
 
 void DelayLruPolicy::set_stamp(ObjectId id, std::uint64_t stamp) {
   if (dense_) {
+    if (id >= dense_stamps_.size()) {
+      grow_dense_index(dense_stamps_, id, std::uint64_t{0}, "DelayLruPolicy");
+    }
     dense_stamps_[static_cast<std::size_t>(id)] = stamp;
   } else {
     stamps_[id] = stamp;

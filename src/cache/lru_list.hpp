@@ -5,7 +5,8 @@
 // probe per touch. This list keeps its nodes in one contiguous vector
 // (recycled through a free list) and links them by 32-bit indices, and the
 // id -> node index can be switched from a hash map to a flat vector when the
-// caller guarantees dense ids (reserve_ids). Order semantics are identical
+// caller guarantees dense ids (reserve_ids); the flat vector grows on
+// demand (dense_index.hpp). Order semantics are identical
 // to the std::list formulation: push_front = MRU, back() = LRU victim.
 #pragma once
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/dense_index.hpp"
 #include "cache/types.hpp"
 
 namespace webcache::cache {
@@ -23,8 +25,9 @@ class LruIndexList {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Hint that every id passed from now on lies in [0, universe): the
-  /// id -> node index becomes a flat vector. Only legal while empty.
+  /// Hint that every id passed from now on is a small dense id: the
+  /// id -> node index becomes a flat vector, sized for [0, universe) and
+  /// grown when a larger id arrives. Only legal while empty.
   void reserve_ids(std::uint64_t universe) {
     if (size_ != 0) {
       throw std::logic_error("LruIndexList: reserve_ids on non-empty list");
@@ -41,6 +44,9 @@ class LruIndexList {
   void push_front(ObjectId id) {
     if (find_node(id) != kNil) {
       throw std::logic_error("LruIndexList: duplicate insert");
+    }
+    if (dense_ && id >= dense_where_.size()) {
+      grow_dense_index(dense_where_, id, kNil, "LruIndexList");
     }
     const std::int32_t n = allocate_node(id);
     link_front(n);
@@ -118,11 +124,7 @@ class LruIndexList {
 
   void set_node(ObjectId id, std::int32_t n) {
     if (dense_) {
-      const auto i = static_cast<std::size_t>(id);
-      if (i >= dense_where_.size()) {
-        throw std::logic_error("LruIndexList: id outside reserved universe");
-      }
-      dense_where_[i] = n;
+      dense_where_[static_cast<std::size_t>(id)] = n;
     } else {
       where_[id] = n;
     }

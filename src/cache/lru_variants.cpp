@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "cache/dense_index.hpp"
+
 namespace webcache::cache {
 
 // ------------------------------------------------------- LRU-Threshold
@@ -65,11 +67,10 @@ LruMinPolicy::Slot* LruMinPolicy::find_slot(ObjectId id) {
 
 LruMinPolicy::Slot& LruMinPolicy::make_slot(ObjectId id) {
   if (dense_) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= dense_where_.size()) {
-      throw std::logic_error("LruMinPolicy: id outside reserved universe");
+    if (id >= dense_where_.size()) {
+      grow_dense_index(dense_where_, id, Slot{}, "LruMinPolicy");
     }
-    return dense_where_[i];
+    return dense_where_[static_cast<std::size_t>(id)];
   }
   return where_[id];
 }

@@ -94,7 +94,8 @@ class LruMinPolicy final : public ReplacementPolicy {
   std::uint64_t next_stamp_ = 0;
   std::size_t resident_ = 0;
 
-  // id -> slot, hash-backed by default, flat after reserve_ids().
+  // id -> slot, hash-backed by default, flat (and grown on demand) after
+  // reserve_ids().
   bool dense_ = false;
   std::unordered_map<ObjectId, Slot> where_;
   std::vector<Slot> dense_where_;

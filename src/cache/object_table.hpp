@@ -4,19 +4,22 @@
 // ids are URL hashes. Dense mode (reserve_dense) keeps the metadata in a
 // compact slab vector plus a flat id -> slab-slot index, so the per-request
 // lookup is one array load instead of a hash probe, and iteration touches
-// only resident objects, contiguously.
+// only resident objects, contiguously. The index grows on demand
+// (dense_index.hpp), so a stream densified online needs no universe.
 //
 // Pointer validity contract (narrower than unordered_map's): a pointer
 // returned by find()/insert() is invalidated by the *next* insert or erase
 // on the table. The Cache hot path never holds one across a mutation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "cache/dense_index.hpp"
 #include "cache/types.hpp"
 
 namespace webcache::cache {
@@ -28,8 +31,9 @@ class ObjectTable {
   }
   bool empty() const { return size() == 0; }
 
-  /// Switches to the slab + flat-index representation for ids in
-  /// [0, universe). Only legal while empty.
+  /// Switches to the slab + flat-index representation for small
+  /// non-negative ids, sized for [0, universe) up front; a larger id grows
+  /// the index. Only legal while empty.
   void reserve_dense(std::uint64_t universe) {
     if (!empty()) {
       throw std::logic_error("ObjectTable: reserve_dense on non-empty table");
@@ -60,8 +64,8 @@ class ObjectTable {
   CacheObject& insert(const CacheObject& obj) {
     if (dense_) {
       const auto i = static_cast<std::size_t>(obj.id);
-      if (i >= slot_.size()) {
-        throw std::logic_error("ObjectTable: id outside dense universe");
+      if (obj.id >= slot_.size()) {
+        grow_dense_index(slot_, obj.id, kNoSlot, "ObjectTable");
       }
       if (slot_[i] != kNoSlot) {
         throw std::logic_error("ObjectTable: duplicate insert");
@@ -115,6 +119,26 @@ class ObjectTable {
     } else {
       for (const auto& [id, obj] : map_) fn(obj);
     }
+  }
+
+  /// Visits every resident object in ascending id order: a walk of the
+  /// flat index in dense mode, a sort of the resident set in sparse mode.
+  template <typename Fn>
+  void for_each_by_id(Fn&& fn) const {
+    if (dense_) {
+      for (const std::uint32_t s : slot_) {
+        if (s != kNoSlot) fn(slab_[s]);
+      }
+      return;
+    }
+    std::vector<const CacheObject*> resident;
+    resident.reserve(map_.size());
+    for (const auto& [id, obj] : map_) resident.push_back(&obj);
+    std::sort(resident.begin(), resident.end(),
+              [](const CacheObject* a, const CacheObject* b) {
+                return a->id < b->id;
+              });
+    for (const CacheObject* obj : resident) fn(*obj);
   }
 
  private:

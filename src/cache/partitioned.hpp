@@ -45,10 +45,12 @@ class PartitionedCache final : public CacheFrontend {
                               bool force_miss) override;
   /// Forwards the reservation to every partition, so each per-class cache
   /// switches to its flat-array representation. Only legal while all
-  /// partitions are empty (std::logic_error otherwise). Afterwards any
-  /// access with an id outside [0, universe) is rejected with
-  /// std::invalid_argument — mixing dense and sparse ids in one partitioned
-  /// cache would silently corrupt the flat indices.
+  /// partitions are empty (std::logic_error otherwise). Afterwards, for a
+  /// non-zero universe, any access with an id outside [0, universe) is
+  /// rejected with std::invalid_argument — mixing dense and sparse ids in
+  /// one partitioned cache would silently corrupt the flat indices. A
+  /// universe of 0 (a stream densified online) sets no bound: the
+  /// partitions' indexes grow with the ids.
   void reserve_dense_ids(std::uint64_t universe) override;
   /// Resident in any partition (documents keep their class, so this is a
   /// scan only in the degenerate cross-class case).

@@ -49,11 +49,12 @@ class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
 
-  /// Hint that every ObjectId this policy will ever see lies in
-  /// [0, universe) — true after trace::densify(). Array-backed policies
-  /// switch their key -> position indices from hash maps to flat vectors;
-  /// the eviction order is unaffected. Only legal before any on_insert
-  /// (or right after clear()). Default: ignored.
+  /// Hint that every ObjectId this policy will ever see is a small dense
+  /// id — true after trace::densify() or trace::OnlineDensifier. Array-
+  /// backed policies switch their key -> position indices from hash maps
+  /// to flat vectors, sized for [0, universe) and grown on demand (0 for a
+  /// stream); the eviction order is unaffected. Only legal before any
+  /// on_insert (or right after clear()). Default: ignored.
   virtual void reserve_ids(std::uint64_t /*universe*/) {}
 
   virtual void on_insert(const CacheObject& obj) = 0;

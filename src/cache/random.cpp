@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "cache/dense_index.hpp"
+
 namespace webcache::cache {
 
 RandomPolicy::RandomPolicy(std::uint64_t seed) : seed_(seed), rng_(seed) {}
@@ -27,11 +29,10 @@ std::uint32_t RandomPolicy::find_position(ObjectId id) const {
 
 void RandomPolicy::set_position(ObjectId id, std::uint32_t pos) {
   if (dense_) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= dense_where_.size()) {
-      throw std::logic_error("RandomPolicy: id outside reserved universe");
+    if (id >= dense_where_.size()) {
+      grow_dense_index(dense_where_, id, kAbsent, "RandomPolicy");
     }
-    dense_where_[i] = pos;
+    dense_where_[static_cast<std::size_t>(id)] = pos;
   } else {
     where_[id] = pos;
   }

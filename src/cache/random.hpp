@@ -64,7 +64,8 @@ class RandomPolicy final : public ReplacementPolicy {
   util::Rng rng_;
   std::vector<ObjectId> ids_;  // resident objects, swap-remove order
 
-  // id -> position in ids_, hash-backed by default, flat after reserve_ids.
+  // id -> position in ids_, hash-backed by default, flat (and grown on
+  // demand) after reserve_ids.
   bool dense_ = false;
   std::unordered_map<ObjectId, std::uint32_t> where_;
   std::vector<std::uint32_t> dense_where_;

@@ -139,20 +139,58 @@ const std::vector<std::string>& checkpoint_resume_diagnostics() {
 
 namespace detail {
 
+namespace {
+
+/// The WCKP image of `sections` as byte spans in file order: the container
+/// header, then each section's header and payload. Headers are built here;
+/// payloads are referenced, not copied.
+struct CheckpointImage {
+  std::vector<std::vector<std::uint8_t>> headers;
+  std::vector<std::pair<const std::uint8_t*, std::size_t>> spans;
+  std::size_t total = 0;
+
+  explicit CheckpointImage(const std::vector<CheckpointSection>& sections) {
+    util::StateWriter container;
+    container.put_bytes(kMagic, sizeof(kMagic));
+    container.put_u32(kVersion);
+    container.put_u32(static_cast<std::uint32_t>(sections.size()));
+    headers.push_back(container.take());
+    for (const CheckpointSection& s : sections) {
+      util::StateWriter w;
+      w.put_u32(static_cast<std::uint32_t>(s.name.size()));
+      w.put_bytes(s.name.data(), s.name.size());
+      w.put_u64(s.payload.size());
+      w.put_u32(util::crc32(s.payload.data(), s.payload.size()));
+      headers.push_back(w.take());
+    }
+    add(headers[0]);
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      add(headers[i + 1]);
+      add(sections[i].payload);
+    }
+  }
+
+  // The spans point into this object's own headers.
+  CheckpointImage(const CheckpointImage&) = delete;
+  CheckpointImage& operator=(const CheckpointImage&) = delete;
+
+  void add(const std::vector<std::uint8_t>& bytes) {
+    spans.emplace_back(bytes.data(), bytes.size());
+    total += bytes.size();
+  }
+};
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_checkpoint(
     const std::vector<CheckpointSection>& sections) {
-  util::StateWriter w;
-  w.put_bytes(kMagic, sizeof(kMagic));
-  w.put_u32(kVersion);
-  w.put_u32(static_cast<std::uint32_t>(sections.size()));
-  for (const CheckpointSection& s : sections) {
-    w.put_u32(static_cast<std::uint32_t>(s.name.size()));
-    w.put_bytes(s.name.data(), s.name.size());
-    w.put_u64(s.payload.size());
-    w.put_u32(util::crc32(s.payload.data(), s.payload.size()));
-    w.put_bytes(s.payload.data(), s.payload.size());
+  const CheckpointImage image(sections);
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(image.total);
+  for (const auto& [data, size] : image.spans) {
+    bytes.insert(bytes.end(), data, data + size);
   }
-  return w.take();
+  return bytes;
 }
 
 std::vector<CheckpointSection> decode_checkpoint(
@@ -204,8 +242,8 @@ std::vector<CheckpointSection> decode_checkpoint(
   return sections;
 }
 
-void atomic_write_file(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
+void write_checkpoint_file(const std::string& path,
+                           const std::vector<CheckpointSection>& sections) {
   // Torn-write fault hook: on the k-th checkpoint write of this process,
   // truncate the temp file to half, rename it anyway, and die — simulating
   // a kernel/media failure that breaks the temp file *before* rename makes
@@ -215,26 +253,29 @@ void atomic_write_file(const std::string& path,
       checkpoint_env_u64("WEBCACHE_CHECKPOINT_CRASH_AT_WRITE");
   ++write_number;
 
+  const CheckpointImage image(sections);
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) {
     throw std::runtime_error("checkpoint: cannot create '" + tmp +
                              "': " + std::strerror(errno));
   }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("checkpoint: write to '" + tmp +
-                               "' failed: " + std::strerror(err));
+  for (const auto& [data, size] : image.spans) {
+    std::size_t off = 0;
+    while (off < size) {
+      const ssize_t n = ::write(fd, data + off, size - off);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const int err = errno;
+        ::close(fd);
+        throw std::runtime_error("checkpoint: write to '" + tmp +
+                                 "' failed: " + std::strerror(err));
+      }
+      off += static_cast<std::size_t>(n);
     }
-    off += static_cast<std::size_t>(n);
   }
   if (crash_at_write != 0 && write_number == crash_at_write) {
-    (void)::ftruncate(fd, static_cast<off_t>(bytes.size() / 2));
+    (void)::ftruncate(fd, static_cast<off_t>(image.total / 2));
     (void)::fsync(fd);
     (void)::close(fd);
     (void)std::rename(tmp.c_str(), path.c_str());
@@ -571,7 +612,12 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     }
   }();
   std::optional<trace::OnlineDensifier> densifier;
-  if constexpr (Densified) densifier.emplace(job.densify_options);
+  if constexpr (Densified) {
+    // Densified ids arrive in first-appearance order: the frontend's flat
+    // indexes start empty and grow with them.
+    densifier.emplace(job.densify_options);
+    frontend.reserve_dense_ids(0);
+  }
 
   if constexpr (kRecording) sink.begin_run(frontend);
   ReplayCore<LastSize, Sink, Faults> core(
@@ -597,19 +643,26 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         core.restore(consumed, restore_sim_result(r));
         r.expect_end();
       }
+      // A densified run restores the densifier first: every dense id in
+      // the cache, policy and last-size sections must lie below its
+      // document count, so no damaged id can size a growable table.
+      std::uint64_t id_bound = UINT64_MAX;
+      if constexpr (Densified) {
+        auto r = reader(need_section(selected->sections, "densifier", file));
+        densifier->restore_state(r);
+        r.expect_end();
+        id_bound = densifier->document_count();
+      }
       {
         auto r = reader(need_section(selected->sections, "cache", file));
+        r.set_id_bound(id_bound);
         frontend.restore_state(r);
         r.expect_end();
       }
       {
         auto r = reader(need_section(selected->sections, "lastsize", file));
+        r.set_id_bound(id_bound);
         last_size.restore_state(r);
-        r.expect_end();
-      }
-      if constexpr (Densified) {
-        auto r = reader(need_section(selected->sections, "densifier", file));
-        densifier->restore_state(r);
         r.expect_end();
       }
       if constexpr (kRecording) {
@@ -668,7 +721,7 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     }
     const fs::path path =
         fs::path(config.dir) / checkpoint_file_name(core.consumed());
-    atomic_write_file(path.string(), encode_checkpoint(sections));
+    write_checkpoint_file(path.string(), sections);
     prune_checkpoints(config.dir, config.keep);
     ++out.checkpoints_written;
   };

@@ -147,7 +147,7 @@ struct CheckpointSection {
   std::vector<std::uint8_t> payload;
 };
 
-/// Serializes sections into the WCKP container format.
+/// Serializes sections into the WCKP container format, as one buffer.
 std::vector<std::uint8_t> encode_checkpoint(
     const std::vector<CheckpointSection>& sections);
 
@@ -157,11 +157,13 @@ std::vector<std::uint8_t> encode_checkpoint(
 std::vector<CheckpointSection> decode_checkpoint(
     const std::vector<std::uint8_t>& bytes);
 
-/// Atomically writes `bytes` to `path`: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory. Honors the
-/// WEBCACHE_CHECKPOINT_CRASH_AT_WRITE torn-write fault hook.
-void atomic_write_file(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes);
+/// Atomically writes the WCKP image of `sections` (the bytes
+/// encode_checkpoint returns) to `path`: temp file in the same directory,
+/// fsync, rename over the target, fsync the directory. Headers and
+/// payloads go straight to the file; no concatenated image is built.
+/// Honors the WEBCACHE_CHECKPOINT_CRASH_AT_WRITE torn-write fault hook.
+void write_checkpoint_file(const std::string& path,
+                           const std::vector<CheckpointSection>& sections);
 
 /// Serialize / restore a SimResult (used by the "result" section and by
 /// tests).

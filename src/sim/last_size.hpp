@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -138,6 +139,11 @@ class GrowingDenseLastSize {
   }
   void restore_state(util::StateReader& r) {
     const std::uint64_t n = r.take_count(sizeof(std::uint64_t), "last-size");
+    if (n > r.id_bound()) {
+      r.fail("last-size table covers " + std::to_string(n) +
+             " document(s), more than the " + std::to_string(r.id_bound()) +
+             " the densifier assigned");
+    }
     last_.clear();
     last_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) last_.push_back(r.take_u64());

@@ -512,12 +512,6 @@ ShardedReplay::ShardedReplay(std::uint64_t capacity_bytes,
         "ShardedReplay: occupancy sampling is not supported "
         "(occupancy_samples must be 0)");
   }
-  if (mode_ == ShardedMode::kExact && !exact_eligible(policy, options)) {
-    throw std::invalid_argument(
-        "ShardedReplay: policy has a heap-ordered or promotion-mutating hit "
-        "path; exact mode covers LRU/FIFO/LRU-THOLD/RANDOM/CLOCK/DELAY-CLOCK "
-        "only — use the approximate mode (ShardedMode::kApprox)");
-  }
   shards_ = config.shards != 0
                 ? config.shards
                 : (mode_ == ShardedMode::kExact ? threads_
@@ -529,6 +523,14 @@ ShardedReplay::ShardedReplay(std::uint64_t capacity_bytes,
   serial_delegate_ = mode_ == ShardedMode::kExact
                          ? (threads_ <= 1 && shards_ <= 1)
                          : shards_ <= 1;
+  // A serial run replays any policy exactly; only the pipeline is limited.
+  if (mode_ == ShardedMode::kExact && !serial_delegate_ &&
+      !exact_eligible(policy, options)) {
+    throw std::invalid_argument(
+        "ShardedReplay: policy has a heap-ordered or promotion-mutating hit "
+        "path; exact mode covers LRU/FIFO/LRU-THOLD/RANDOM/CLOCK/DELAY-CLOCK "
+        "only — use the approximate mode (ShardedMode::kApprox)");
+  }
 }
 
 bool ShardedReplay::exact_eligible(const cache::PolicySpec& policy,

@@ -86,7 +86,8 @@ class ShardedReplay {
 
   /// Validates options (throws std::invalid_argument on occupancy
   /// sampling, or on an exact-mode request for a policy outside the
-  /// read-only-hit-path set — see exact_eligible()).
+  /// read-only-hit-path set — see exact_eligible() — unless the run
+  /// delegates to the serial replay, which covers every policy).
   ShardedReplay(std::uint64_t capacity_bytes, const cache::PolicySpec& policy,
                 const SimulatorOptions& options, const ShardedConfig& config);
 

@@ -144,6 +144,7 @@ SimResult simulate_stream_densified(
     trace::OnlineDensifier::Options densify_options) {
   validate_options(options);
   trace::OnlineDensifier densifier(densify_options);
+  frontend.reserve_dense_ids(0);  // grows with the first-appearance ids
   detail::GrowingDenseLastSize last_size;
   obs::NullSink sink;
   detail::ReplayCore<detail::GrowingDenseLastSize, obs::NullSink> core(
@@ -157,6 +158,7 @@ SimResult simulate_stream_densified(
     trace::OnlineDensifier::Options densify_options) {
   validate_options(options);
   trace::OnlineDensifier densifier(densify_options);
+  frontend.reserve_dense_ids(0);  // grows with the first-appearance ids
   detail::GrowingDenseLastSize last_size;
   sink.begin_run(frontend);
   detail::ReplayCore<detail::GrowingDenseLastSize, obs::RecordingSink> core(

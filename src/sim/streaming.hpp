@@ -78,8 +78,10 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           obs::RecordingSink& sink);
 
 /// Dense fast path for streams: document ids are renumbered online through
-/// a bounded OnlineDensifier before they reach the frontend, and the
-/// last-size tracker is a flat growing vector. Bit-identical to the sparse
+/// a bounded OnlineDensifier before they reach the frontend, which is
+/// switched to its dense mode with no universe (frontend.reserve_dense_ids
+/// (0): the flat indexes grow as new ids appear, so the frontend must be
+/// empty), and the last-size tracker is a flat growing vector. Bit-identical to the sparse
 /// simulate_stream (document identity is only compared for equality; ties
 /// break by insertion sequence — the same invariance the materialized dense
 /// path relies on).

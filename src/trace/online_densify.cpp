@@ -19,19 +19,15 @@ constexpr std::size_t kFlushThreshold = 4096;
 
 OnlineDensifier::OnlineDensifier(Options options) : options_(options) {
   if (options_.hot_capacity == 0) options_.hot_capacity = 1;
-  const std::size_t reserve =
-      std::min<std::size_t>(options_.hot_capacity, 1 << 20);
-  slab_.reserve(reserve);
-  hot_map_.reserve(reserve);
 }
 
 DocumentId OnlineDensifier::densify(DocumentId original) {
-  if (auto it = hot_map_.find(original); it != hot_map_.end()) {
-    touch(it->second);
-    return slab_[it->second].dense;
+  if (const std::uint32_t idx = find_hot(original); idx != kNil) {
+    touch(idx);
+    return slab_[idx].dense;
   }
   DocumentId dense = 0;
-  if (cold_lookup(original, dense)) {
+  if (spills_ != 0 && cold_lookup(original, dense)) {
     ++cold_hits_;
     insert_hot(original, dense);  // promote: likely to be referenced again
     return dense;
@@ -39,6 +35,54 @@ DocumentId OnlineDensifier::densify(DocumentId original) {
   dense = next_dense_++;
   insert_hot(original, dense);
   return dense;
+}
+
+std::uint32_t OnlineDensifier::find_hot(DocumentId original) const {
+  for (std::size_t i = home_of(original); index_[i] != 0;
+       i = (i + 1) & index_mask_) {
+    const std::uint32_t idx = index_[i] - 1;
+    if (slab_[idx].original == original) return idx;
+  }
+  return kNil;
+}
+
+void OnlineDensifier::index_insert(std::uint32_t idx) {
+  // slab_ already holds the new entry: at most 3/4 of the slots are used.
+  if (4 * slab_.size() > 3 * index_.size()) grow_index();
+  std::size_t i = home_of(slab_[idx].original);
+  while (index_[i] != 0) i = (i + 1) & index_mask_;
+  index_[i] = idx + 1;
+}
+
+void OnlineDensifier::index_erase(DocumentId original) {
+  std::size_t hole = home_of(original);
+  while (slab_[index_[hole] - 1].original != original) {
+    hole = (hole + 1) & index_mask_;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically after the hole.
+  for (std::size_t j = (hole + 1) & index_mask_; index_[j] != 0;
+       j = (j + 1) & index_mask_) {
+    const std::size_t home = home_of(slab_[index_[j] - 1].original);
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = 0;
+}
+
+void OnlineDensifier::grow_index() {
+  std::vector<std::uint32_t> old(index_.size() * 2, 0);
+  old.swap(index_);
+  index_mask_ = index_.size() - 1;
+  --index_shift_;
+  for (const std::uint32_t slot : old) {
+    if (slot == 0) continue;
+    std::size_t i = home_of(slab_[slot - 1].original);
+    while (index_[i] != 0) i = (i + 1) & index_mask_;
+    index_[i] = slot;
+  }
 }
 
 void OnlineDensifier::touch(std::uint32_t idx) {
@@ -57,24 +101,20 @@ void OnlineDensifier::touch(std::uint32_t idx) {
 }
 
 void OnlineDensifier::insert_hot(DocumentId original, DocumentId dense) {
-  if (hot_map_.size() >= options_.hot_capacity) {
-    // Evict the least recently used mapping to the cold tier.
-    const std::uint32_t victim = lru_tail_;
-    assert(victim != kNil);
-    HotEntry& v = slab_[victim];
+  std::uint32_t idx;
+  if (slab_.size() >= options_.hot_capacity) {
+    // Spill the least recently used mapping to the cold tier; the new
+    // mapping takes its slab entry, so every slab entry is live.
+    idx = lru_tail_;
+    assert(idx != kNil);
+    HotEntry& v = slab_[idx];
     pending_.emplace(v.original, v.dense);
     ++spills_;
     if (pending_.size() >= kFlushThreshold) flush_pending();
-    hot_map_.erase(v.original);
+    index_erase(v.original);
     lru_tail_ = v.prev;
     if (lru_tail_ != kNil) slab_[lru_tail_].next = kNil;
-    if (lru_head_ == victim) lru_head_ = kNil;
-    free_.push_back(victim);
-  }
-  std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
+    if (lru_head_ == idx) lru_head_ = kNil;
   } else {
     idx = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
@@ -87,7 +127,7 @@ void OnlineDensifier::insert_hot(DocumentId original, DocumentId dense) {
   if (lru_head_ != kNil) slab_[lru_head_].prev = idx;
   lru_head_ = idx;
   if (lru_tail_ == kNil) lru_tail_ = idx;
-  hot_map_.emplace(original, idx);
+  index_insert(idx);
 }
 
 bool OnlineDensifier::cold_lookup(DocumentId original,
@@ -155,33 +195,24 @@ void OnlineDensifier::flush_pending() {
 }
 
 void OnlineDensifier::save_state(util::StateWriter& w) const {
-  // Collect every assigned mapping from all three tiers. A promoted
-  // document lives in the hot tier AND still in pending/runs (promotion
-  // copies, it does not remove), so the union can hold duplicates — but a
-  // dense id is assigned to exactly one original, so deduping by dense id
-  // after the sort leaves exactly the next_dense_ assignments.
-  std::vector<Mapping> all;
-  all.reserve(static_cast<std::size_t>(next_dense_));
-  for (const auto& [original, idx] : hot_map_) {
-    all.push_back({original, slab_[idx].dense});
+  // Scatter every assigned mapping from all three tiers into dense-id
+  // order. A promoted document lives in the hot tier AND still in
+  // pending/runs (promotion copies, it does not remove), but a dense id is
+  // assigned to exactly one original, so a repeat writes the same value.
+  std::vector<DocumentId> by_dense(static_cast<std::size_t>(next_dense_));
+  for (const HotEntry& e : slab_) {
+    by_dense[static_cast<std::size_t>(e.dense)] = e.original;
   }
   for (const auto& [original, dense] : pending_) {
-    all.push_back({original, dense});
+    by_dense[static_cast<std::size_t>(dense)] = original;
   }
   for (const auto& run : runs_) {
-    all.insert(all.end(), run.begin(), run.end());
+    for (const Mapping& m : run) {
+      by_dense[static_cast<std::size_t>(m.dense)] = m.original;
+    }
   }
-  std::sort(all.begin(), all.end(), [](const Mapping& a, const Mapping& b) {
-    return a.dense < b.dense;
-  });
-  all.erase(std::unique(all.begin(), all.end(),
-                        [](const Mapping& a, const Mapping& b) {
-                          return a.dense == b.dense;
-                        }),
-            all.end());
-  assert(all.size() == next_dense_);
-  w.put_u64(all.size());
-  for (const Mapping& m : all) w.put_u64(m.original);
+  w.put_u64(by_dense.size());
+  for (const DocumentId original : by_dense) w.put_u64(original);
 }
 
 void OnlineDensifier::restore_state(util::StateReader& r) {

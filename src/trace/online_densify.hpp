@@ -8,8 +8,9 @@
 //
 // OnlineDensifier assigns dense ids in first-appearance order, identical to
 // trace::densify() on the same request sequence. Lookups are answered by a
-// bounded hot tier (hash map + intrusive LRU over at most `hot_capacity`
-// entries); evicted mappings spill to a compact cold tier of sorted
+// bounded hot tier (a slab of at most `hot_capacity` entries on an
+// intrusive LRU, found through a flat open-addressing index); evicted
+// mappings spill to a compact cold tier of sorted
 // (original, dense) runs merged LSM-style, costing 16 bytes per distinct
 // document instead of an unordered_map node. Dense ids are allocated
 // monotonically and never reassigned, so two distinct original ids can
@@ -18,9 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <unordered_map>
+#include <vector>
 
 #include "trace/request.hpp"
 
@@ -57,7 +57,7 @@ class OnlineDensifier {
   /// Lookups answered by the cold tier (spilled documents seen again).
   std::uint64_t cold_hits() const { return cold_hits_; }
 
-  std::size_t hot_size() const { return hot_map_.size(); }
+  std::size_t hot_size() const { return slab_.size(); }
 
   /// Checkpointing: serializes the assigned mapping as original ids in
   /// dense-id order (dense ids are implicit: 0, 1, 2, ...). restore_state
@@ -85,6 +85,19 @@ class OnlineDensifier {
     DocumentId dense;
   };
 
+  // Hot-tier index: open addressing with linear probing, at most three
+  // quarters full. A slot holds slab index + 1 (0 = empty) and the key is
+  // read back from the slab, so a slot is 4 bytes; deletion shifts the
+  // probe run back instead of leaving tombstones. Grows by doubling.
+  std::size_t home_of(DocumentId original) const {
+    return static_cast<std::size_t>((original * 0x9e3779b97f4a7c15ULL) >>
+                                    index_shift_);
+  }
+  std::uint32_t find_hot(DocumentId original) const;
+  void index_insert(std::uint32_t idx);
+  void index_erase(DocumentId original);
+  void grow_index();
+
   void touch(std::uint32_t idx);
   void insert_hot(DocumentId original, DocumentId dense);
   bool cold_lookup(DocumentId original, DocumentId& dense) const;
@@ -95,10 +108,11 @@ class OnlineDensifier {
   std::uint64_t spills_ = 0;
   std::uint64_t cold_hits_ = 0;
 
-  // Hot tier: slab + free list + intrusive LRU + index map.
+  // Hot tier: slab (every entry live) + intrusive LRU + flat index.
   std::vector<HotEntry> slab_;
-  std::vector<std::uint32_t> free_;
-  std::unordered_map<DocumentId, std::uint32_t> hot_map_;
+  std::vector<std::uint32_t> index_ = std::vector<std::uint32_t>(64, 0);
+  std::size_t index_mask_ = 63;
+  unsigned index_shift_ = 64 - 6;  // 64 - log2(index_.size())
   std::uint32_t lru_head_ = kNil;  // most recently used
   std::uint32_t lru_tail_ = kNil;  // least recently used
 

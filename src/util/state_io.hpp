@@ -35,7 +35,12 @@ class StateError : public std::runtime_error {
 
 /// CRC-32 (IEEE, reflected polynomial 0xEDB88320) over a byte span.
 /// Pass a previous return value as `seed` to continue a running digest.
+/// Computed eight bytes per step (slicing-by-8).
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// The same CRC, one byte per step: the reference crc32() must equal.
+std::uint32_t crc32_bytewise(const void* data, std::size_t n,
+                             std::uint32_t seed = 0);
 
 class StateWriter {
  public:
@@ -56,9 +61,11 @@ class StateWriter {
  private:
   template <typename T>
   void put_le(T v) {
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    bytes_.insert(bytes_.end(), le, le + sizeof(T));
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -83,6 +90,15 @@ class StateReader {
   /// sizes a reserve() beyond the stream.
   std::uint64_t take_count(std::size_t entry_bytes, const char* field);
 
+  /// Dense-id checkpoints: ids read through take_id() must lie below
+  /// `bound` (the documents the restored densifier has assigned), so no
+  /// damaged id can size a flat id-indexed table. Unbounded by default.
+  void set_id_bound(std::uint64_t bound) { id_bound_ = bound; }
+  std::uint64_t id_bound() const { return id_bound_; }
+  /// Reads a document id of `field`; throws StateError naming the field
+  /// when it is at or past the id bound.
+  std::uint64_t take_id(const char* field);
+
   /// Bytes not yet consumed.
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
@@ -102,6 +118,7 @@ class StateReader {
   std::size_t size_;
   std::size_t pos_ = 0;
   std::string section_;
+  std::uint64_t id_bound_ = UINT64_MAX;
 };
 
 }  // namespace webcache::util

@@ -12,6 +12,8 @@ series. This test generates a synthetic mix and asserts:
   * the webcache.metrics.v1 export is identical serial vs sharded;
   * `--sharded=approx` runs for a heap-ordered policy (GDSF) and lands
     near the serial hit counts;
+  * `--threads=1` also covers policies outside exact mode's set
+    (GDS(packet)): it is the serial replay, so it equals plain `simulate`;
   * exact mode + heap-ordered policy fails with a diagnostic;
   * a bogus --sharded value fails with a diagnostic, not a crash.
 
@@ -106,6 +108,18 @@ def main():
               gdsf_approx.stderr.strip()[:200])
         check("GDSF serial runs", gdsf_serial.returncode == 0,
               gdsf_serial.stderr.strip()[:200])
+
+        # --threads=1 is the serial replay, so it takes any policy, even
+        # one the sharded exact pipeline could not run.
+        gds_serial = run(cli, "simulate", wct, "--policy=GDS(packet)",
+                         "--fraction=0.04", "--warmup=0.1")
+        gds_one = run(cli, "simulate", wct, "--policy=GDS(packet)",
+                      "--fraction=0.04", "--warmup=0.1", "--threads=1")
+        check("GDS(packet) --threads=1 runs", gds_one.returncode == 0,
+              f"rc={gds_one.returncode} stderr={gds_one.stderr.strip()[:200]}")
+        check("GDS(packet) --threads=1 output identical to serial",
+              gds_serial.returncode == 0 and
+              gds_one.stdout == gds_serial.stdout)
 
         # Exact mode cannot shard a global heap; the error must say so.
         p = run(cli, "simulate", wct, "--policy=GDSF(1)", "--fraction=0.04",

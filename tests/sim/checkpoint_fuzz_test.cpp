@@ -98,15 +98,20 @@ TEST(CheckpointFuzz, EveryBitFlipDetected) {
 /// edit the newest checkpoint's sections, re-encodes them (so every CRC
 /// validates again) as the only file in the directory, and resumes. The
 /// resume must throw std::runtime_error; returns its message. `rewire`
-/// also receives the number of objects resident at the stop.
+/// also receives the number of objects resident at the stop. `densified`
+/// runs the stream through the online densifier and dense tables.
 template <typename Rewire>
-std::string resume_rewired(const std::string& policy, Rewire rewire) {
+std::string resume_rewired(const std::string& policy, Rewire rewire,
+                           bool densified = false) {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
   const trace::Trace t = generator.generate();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;
   const cache::PolicySpec spec = cache::policy_spec_from_name(policy);
 
-  const std::string dir = testing::TempDir() + "/webcache_ckpt_crosswire";
+  // Per-mode directories: ctest runs the tests that share this helper as
+  // concurrent processes.
+  const std::string dir = testing::TempDir() + "/webcache_ckpt_crosswire" +
+                          (densified ? "_densified" : "");
   fs::remove_all(dir);
 
   StreamCheckpointJob job;
@@ -114,6 +119,7 @@ std::string resume_rewired(const std::string& policy, Rewire rewire) {
   job.checkpoint.every = 3000;
   job.checkpoint.trace_source = "synthetic-dfn-0.002";
   job.checkpoint.stop_after_requests = 6000;
+  job.densified = densified;
   std::uint64_t resident = 0;
   {
     trace::MemoryRequestStream stream(t, 4096);
@@ -222,6 +228,118 @@ TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
           claim_huge_policy_count(sections, resident, 12);  // id + counter
         });
     EXPECT_NE(what.find("clock ring count"), std::string::npos) << what;
+  }
+}
+
+std::uint64_t get_u64_at(const std::vector<std::uint8_t>& bytes,
+                         std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes.at(at + i)) << (8 * i);
+  }
+  return v;
+}
+
+void put_u64_at(std::vector<std::uint8_t>& bytes, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// "cache" section layout: five u64 counters, per-class object and byte
+// counts, the resident count, 49-byte resident records, then the policy.
+constexpr std::size_t kResidentCountAt =
+    8 * (5 + 2 * trace::kDocumentClassCount);
+constexpr std::size_t kResidentBytes = 8 + 8 + 1 + 8 + 8 + 8 + 8;
+
+std::size_t policy_state_at(std::uint64_t resident) {
+  return kResidentCountAt + 8 + kResidentBytes * resident;
+}
+
+/// The densifier section starts with the number of documents it assigned.
+std::uint64_t assigned_documents(std::vector<CheckpointSection>& sections) {
+  return get_u64_at(section_named(sections, "densifier").payload, 0);
+}
+
+TEST(CheckpointFuzz, HostileDenseIdsRejectedByName) {
+  // A densified run restores into growable dense tables. A CRC-valid
+  // checkpoint naming a dense id at or past the densifier's document count
+  // must be rejected by name before that id can size a flat index: never
+  // a bad_alloc, never a silent resume.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const auto rewire_resident_id = [](std::uint64_t id) {
+    return [id](std::vector<CheckpointSection>& sections,
+                std::uint64_t resident) {
+      std::vector<std::uint8_t>& cache = section_named(sections, "cache").payload;
+      ASSERT_GT(resident, 0u);
+      ASSERT_EQ(get_u64_at(cache, kResidentCountAt), resident);
+      put_u64_at(cache, kResidentCountAt + 8,
+                 id == 0 ? assigned_documents(sections) : id);
+    };
+  };
+  {
+    const std::string what =
+        resume_rewired("LRU", rewire_resident_id(huge), /*densified=*/true);
+    EXPECT_NE(what.find("resident object id 1099511627776"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'cache'"), std::string::npos) << what;
+  }
+  {
+    // Exactly one past the bound (0 asks for the assigned count).
+    const std::string what =
+        resume_rewired("LRU", rewire_resident_id(0), /*densified=*/true);
+    EXPECT_NE(what.find("resident object id"), std::string::npos) << what;
+    EXPECT_NE(what.find("the densifier assigned"), std::string::npos) << what;
+  }
+  {
+    // The first key of GD*'s heap: u64 entry count, then {key, ...}.
+    const std::string what = resume_rewired(
+        "GD*(packet)",
+        [huge](std::vector<CheckpointSection>& sections,
+               std::uint64_t resident) {
+          std::vector<std::uint8_t>& cache =
+              section_named(sections, "cache").payload;
+          const std::size_t at = policy_state_at(resident);
+          ASSERT_EQ(get_u64_at(cache, at), resident);
+          put_u64_at(cache, at + 8, huge);
+        },
+        /*densified=*/true);
+    EXPECT_NE(what.find("heap key id 1099511627776"), std::string::npos)
+        << what;
+  }
+  {
+    // The first id of the LRU list (the same id-run decoder serves every
+    // list policy).
+    const std::string what = resume_rewired(
+        "LRU",
+        [huge](std::vector<CheckpointSection>& sections,
+               std::uint64_t resident) {
+          std::vector<std::uint8_t>& cache =
+              section_named(sections, "cache").payload;
+          put_u64_at(cache, policy_state_at(resident) + 8, huge);
+        },
+        /*densified=*/true);
+    EXPECT_NE(what.find("id run id 1099511627776"), std::string::npos)
+        << what;
+  }
+  {
+    // A last-size table one entry longer than the documents assigned.
+    const std::string what = resume_rewired(
+        "LRU",
+        [](std::vector<CheckpointSection>& sections, std::uint64_t) {
+          std::vector<std::uint8_t>& last =
+              section_named(sections, "lastsize").payload;
+          const std::uint64_t n = get_u64_at(last, 0);
+          ASSERT_EQ(n, assigned_documents(sections));
+          put_u64_at(last, 0, n + 1);
+          last.insert(last.end(), 8, 0xff);
+        },
+        /*densified=*/true);
+    EXPECT_NE(what.find("last-size table covers"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'lastsize'"), std::string::npos) << what;
   }
 }
 

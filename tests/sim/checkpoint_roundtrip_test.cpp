@@ -152,6 +152,57 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
   }
 }
 
+TEST(CheckpointRoundTrip, DensifiedAllFactoryPoliciesSplitRunMatchesSparse) {
+  // Densified checkpointed runs keep the cache and policy on growable dense
+  // tables; a split run restored into fresh ones must finish equal to the
+  // uninterrupted sparse stream, for every policy.
+  const trace::Trace t = recorded_trace();
+  const std::uint64_t capacity = t.overall_size_bytes() / 25;  // 4%
+  const std::uint64_t half = t.total_requests() / 2;
+
+  SimulatorOptions options;
+  options.occupancy_samples = 8;
+
+  trace::OnlineDensifier::Options densify;
+  densify.hot_capacity = 64;  // spills and cold hits on both sides
+
+  std::size_t index = 0;
+  for (const std::string& name : factory_policies()) {
+    const cache::PolicySpec spec = cache::policy_spec_from_name(name);
+
+    trace::MemoryRequestStream s0(t, 4096);
+    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+    const SimResult baseline = simulate_stream(s0, f0, options);
+
+    const std::string dir =
+        fresh_dir("densified_policy_" + std::to_string(index++));
+    StreamCheckpointJob job;
+    job.options = options;
+    job.checkpoint.dir = dir;
+    job.checkpoint.every = 919;
+    job.checkpoint.keep = 2;
+    job.checkpoint.trace_source = "synthetic-dfn-0.002";
+    job.checkpoint.stop_after_requests = half;
+    job.densified = true;
+    job.densify_options = densify;
+
+    trace::MemoryRequestStream s1(t, 4096);
+    cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
+    EXPECT_TRUE(simulate_stream_checkpointed(s1, f1, job).stopped_early)
+        << name;
+
+    job.checkpoint.stop_after_requests = 0;
+    job.checkpoint.resume = true;
+    trace::MemoryRequestStream s2(t, 4096);
+    cache::SingleCacheFrontend f2 = make_frontend(spec, capacity);
+    const CheckpointedRun done = simulate_stream_checkpointed(s2, f2, job);
+    EXPECT_EQ(done.resumed_from, half) << name;
+    EXPECT_TRUE(checkpoint_resume_diagnostics().empty()) << name;
+    expect_identical(baseline, done.result, name + " densified");
+    fs::remove_all(dir);
+  }
+}
+
 TEST(CheckpointRoundTrip, DensifiedInstrumentedThreeSegmentRun) {
   const trace::Trace t = recorded_trace();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;

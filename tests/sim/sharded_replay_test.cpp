@@ -262,6 +262,32 @@ TEST(ShardedReplayConfig, ExactModeRejectsHeapOrderedPolicies) {
   }
 }
 
+TEST(ShardedReplayConfig, SerialDelegationAcceptsEveryPolicy) {
+  // One thread with auto shards IS the serial replay, so the exact-mode
+  // policy restriction (a limit of the pipeline) must not apply to it.
+  const trace::Trace sparse = recorded_trace();
+  const trace::DenseTrace dense = trace::densify(sparse);
+  const std::uint64_t capacity = sparse.overall_size_bytes() / 25;
+  const SimulatorOptions options;
+  for (const std::string name :
+       {"GDS(packet)", "GD*(1)", "LFU-DA", "DELAY-LRU:k=8"}) {
+    const cache::PolicySpec spec = cache::policy_spec_from_name(name);
+    const SimResult serial = simulate(sparse, capacity, spec, options);
+    expect_identical(serial,
+                     simulate_sharded(sparse, capacity, spec, options,
+                                      exact_config(1, 0)),
+                     name + " sparse threads=1");
+    expect_identical(serial,
+                     simulate_sharded(dense, capacity, spec, options,
+                                      exact_config(1, 0)),
+                     name + " dense threads=1");
+    // An explicit second shard forces the pipeline, which still refuses.
+    EXPECT_THROW(ShardedReplay(capacity, spec, options, exact_config(1, 2)),
+                 std::invalid_argument)
+        << name;
+  }
+}
+
 TEST(ShardedReplayConfig, ExactModeRejectsPromotionMutatingLazyLru) {
   // The lazy-LRU promotion variants write the recency order on hits, so
   // they are explicitly outside the exact engine's contract — the ctor

@@ -214,21 +214,24 @@ TEST(StreamingEquivalence, WarmupAndModificationRulesMatch) {
 }
 
 TEST(StreamingEquivalence, DensifiedStreamMatchesSparse) {
+  // The densified stream runs every factory policy on growable dense
+  // tables (reserve_dense_ids(0), ids in first-appearance order); the
+  // result must equal the sparse materialized replay.
   const trace::Trace t = recorded_trace();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;
   const SimulatorOptions options;
 
-  for (const std::string& name : {std::string("LRU"),
-                                  std::string("GD*(packet)"),
-                                  std::string("SIZE")}) {
+  for (const std::string& name : factory_policies()) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
     const SimResult baseline = simulate(t, capacity, spec, options);
-    // Hot capacities from pathologically tiny (every miss spills) to
-    // comfortably larger than the document universe.
-    for (const std::size_t hot : {std::size_t{2}, std::size_t{64},
-                                  std::size_t{1} << 20}) {
+    // Hot capacities from pathologically tiny (every miss spills) to the
+    // default, comfortably larger than the document universe.
+    for (const std::size_t hot :
+         {std::size_t{2}, std::size_t{64},
+          trace::OnlineDensifier::Options{}.hot_capacity}) {
       trace::MemoryRequestStream stream(t, 4096);
-      cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
+      cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec),
+                                          cache::admission_limit_of(spec));
       trace::OnlineDensifier::Options densify;
       densify.hot_capacity = hot;
       const SimResult streamed =
