@@ -54,7 +54,7 @@ class IndexedMinHeap {
     }
     dense_ = true;
     slots_.clear();
-    dense_slots_.assign(static_cast<std::size_t>(universe), kNoSlot);
+    dense_slots_.assign(static_cast<std::size_t>(universe), kNoDenseSlot);
   }
 
   /// Inserts a new key. Throws std::logic_error if the key is present.
@@ -104,7 +104,7 @@ class IndexedMinHeap {
   void clear() {
     heap_.clear();
     if (dense_) {
-      dense_slots_.assign(dense_slots_.size(), kNoSlot);
+      dense_slots_.assign(dense_slots_.size(), kNoDenseSlot);
     } else {
       slots_.clear();
     }
@@ -146,8 +146,8 @@ class IndexedMinHeap {
   bool check_invariants() const {
     std::size_t indexed = 0;
     if (dense_) {
-      for (const std::size_t s : dense_slots_) {
-        if (s != kNoSlot) ++indexed;
+      for (const std::uint32_t s : dense_slots_) {
+        if (s != kNoDenseSlot) ++indexed;
       }
     } else {
       indexed = slots_.size();
@@ -162,13 +162,19 @@ class IndexedMinHeap {
 
  private:
   static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+  // The flat index stores 32-bit slots (dense keys stay below
+  // kMaxDenseIds, so the heap never holds 2^32 - 1 entries).
+  static constexpr std::uint32_t kNoDenseSlot =
+      std::numeric_limits<std::uint32_t>::max();
 
   static std::size_t parent(std::size_t i) { return i == 0 ? 0 : (i - 1) / 2; }
 
   std::size_t find_slot(const Key& key) const {
     if (dense_) {
       const auto k = static_cast<std::size_t>(key);
-      return k < dense_slots_.size() ? dense_slots_[k] : kNoSlot;
+      const std::uint32_t slot =
+          k < dense_slots_.size() ? dense_slots_[k] : kNoDenseSlot;
+      return slot == kNoDenseSlot ? kNoSlot : slot;
     }
     const auto it = slots_.find(key);
     return it == slots_.end() ? kNoSlot : it->second;
@@ -177,7 +183,8 @@ class IndexedMinHeap {
   /// Re-points a key already in the index (sift and removal moves).
   void set_slot(const Key& key, std::size_t slot) {
     if (dense_) {
-      dense_slots_[static_cast<std::size_t>(key)] = slot;
+      dense_slots_[static_cast<std::size_t>(key)] =
+          static_cast<std::uint32_t>(slot);
     } else {
       slots_[key] = slot;
     }
@@ -186,15 +193,15 @@ class IndexedMinHeap {
   /// Indexes a key that is not in the heap yet, growing the flat index.
   void index_new_key(const Key& key, std::size_t slot) {
     if (dense_ && static_cast<std::uint64_t>(key) >= dense_slots_.size()) {
-      grow_dense_index(dense_slots_, static_cast<std::uint64_t>(key), kNoSlot,
-                       "IndexedMinHeap");
+      grow_dense_index(dense_slots_, static_cast<std::uint64_t>(key),
+                       kNoDenseSlot, "IndexedMinHeap");
     }
     set_slot(key, slot);
   }
 
   void erase_slot(const Key& key) {
     if (dense_) {
-      dense_slots_[static_cast<std::size_t>(key)] = kNoSlot;
+      dense_slots_[static_cast<std::size_t>(key)] = kNoDenseSlot;
     } else {
       slots_.erase(key);
     }
@@ -264,7 +271,7 @@ class IndexedMinHeap {
 
   bool dense_ = false;
   std::unordered_map<Key, std::size_t> slots_;
-  std::vector<std::size_t> dense_slots_;
+  std::vector<std::uint32_t> dense_slots_;
 };
 
 }  // namespace webcache::cache

@@ -122,7 +122,14 @@ class GrowingDenseLastSize {
  public:
   std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
     const auto idx = static_cast<std::size_t>(document);
-    if (idx >= last_.size()) last_.resize(idx + 1, kUnseen);
+    if (idx >= last_.size()) {
+      // The densifier's next id: a first sighting, appended in place.
+      if (idx == last_.size()) {
+        last_.push_back(size);
+        return nullptr;
+      }
+      last_.resize(idx + 1, kUnseen);
+    }
     std::uint64_t& slot = last_[idx];
     if (slot == kUnseen) {
       slot = size;

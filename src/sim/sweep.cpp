@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <exception>
@@ -9,9 +10,7 @@
 #include <thread>
 
 #include "sim/sampled_sweep.hpp"
-#include "sim/sharded_replay.hpp"
 #include "sim/stack_sweep.hpp"
-#include "util/parallel.hpp"
 
 namespace webcache::sim {
 
@@ -253,7 +252,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
 
   // Fault-aware sweep: every cell replays the schedule against a fresh
   // single-cache frontend (node 0 = the whole cache). Fault replay is
-  // strictly sequential, so the one-pass and sharded fast paths are off;
+  // strictly sequential, so the one-pass fast path is off;
   // the grid itself still parallelizes across cells.
   if (!config.faults.empty()) {
     fill_grid(sweep, columns, config.threads, {},
@@ -276,30 +275,8 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
           ? apply_sampling(trace, config, sweep)
           : apply_one_pass(trace, config, sweep);
 
-  // Leftover-thread routing: when the grid has fewer pending cells than
-  // worker threads, the spare threads move inside the cells through the
-  // sharded replay engine. Only exact-eligible cells take the sharded
-  // path, so the sweep stays bit-identical to the serial grid.
-  std::size_t pending = 0;
-  for (const char s : skip) {
-    if (s == 0) ++pending;
-  }
-  const std::uint32_t resolved = util::resolve_threads(config.threads);
-  const std::uint32_t per_cell_threads =
-      pending > 0 ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                        resolved / pending, 0xffffffffu))
-                  : 0;
-
   fill_grid(sweep, columns, config.threads, skip,
             [&](std::uint64_t capacity, std::size_t p) {
-              if (per_cell_threads >= 2 &&
-                  ShardedReplay::exact_eligible(config.policies[p],
-                                                config.simulator)) {
-                ShardedConfig sharded;
-                sharded.threads = per_cell_threads;
-                return simulate_sharded(trace, capacity, config.policies[p],
-                                        config.simulator, sharded);
-              }
               return simulate(trace, capacity, config.policies[p],
                               config.simulator);
             });

@@ -1,5 +1,5 @@
 // Minimal fork-join helper shared by the parallel drivers (the sweep grid,
-// the sharded replay engine's annotate/account stages).
+// the approximate sharded replay's per-shard caches).
 //
 // parallel_for(n, threads, fn) invokes fn(i) exactly once for every
 // i in [0, n), either inline (threads <= 1 or n <= 1) or on a freshly

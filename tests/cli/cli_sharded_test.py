@@ -1,30 +1,34 @@
 #!/usr/bin/env python3
-"""Sharded replay CLI smoke test, run under CTest as `cli_sharded`.
+"""Approximate sharded replay CLI test, run under CTest as `cli_sharded`.
 
-`simulate --threads=N` routes through the sharded replay engine; for the
-LRU family the engine is exact, so every thread count must reproduce the
-plain serial run byte for byte — stdout tables AND the --metrics-out JSON
-series. This test generates a synthetic mix and asserts:
+`simulate --sharded=approx` replays one cache per shard on a proportional
+byte quota. Its results are not the serial replay's, so this test pins them
+instead:
 
-  * `simulate --threads=1` output is identical to plain `simulate`
-    (they share the serial code path by construction);
-  * `--threads=4` and an explicit `--shards=8` are still identical;
-  * the webcache.metrics.v1 export is identical serial vs sharded;
-  * `--sharded=approx` runs for a heap-ordered policy (GDSF) and lands
-    near the serial hit counts;
-  * `--threads=1` also covers policies outside exact mode's set
-    (GDS(packet)): it is the serial replay, so it equals plain `simulate`;
-  * exact mode + heap-ordered policy fails with a diagnostic;
-  * a bogus --sharded value fails with a diagnostic, not a crash.
+  * on tests/data/golden_dfn.wct at a 4% cache, `--threads=2
+    --sharded=approx --rebalance=100` reproduces the --result-out JSON in
+    tests/data/golden_dfn_approx_expected.jsonl (one line per policy: GD*(1)
+    for the heap family, LRU for the LRU family), and `--threads=1` and
+    `--threads=4` reproduce the same bytes (thread-count invariance);
+  * on a synthetic mix, `--sharded=approx --shards=1` is the serial replay;
+  * the removed exact spellings — `--sharded=exact`, and `--threads`,
+    `--shards` or `--rebalance` without `--sharded=approx` — exit 1 with
+    the flag named in stderr;
+  * `--sharded=approx` with `--metrics-out` exits 1 with a diagnostic.
 
 Usage: cli_sharded_test.py <path-to-webcache-binary>
 """
 
-import json
 import os
 import subprocess
 import sys
 import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "..", "data")
+GOLDEN = os.path.join(DATA, "golden_dfn.wct")
+EXPECTED = os.path.join(DATA, "golden_dfn_approx_expected.jsonl")
+POLICIES = ("GD*(1)", "LRU")  # line order of EXPECTED
 
 FAILURES = []
 
@@ -42,9 +46,62 @@ def run(cli, *args, timeout=240):
     )
 
 
-def simulate(cli, wct, *extra):
-    return run(cli, "simulate", wct, "--policy=LRU", "--fraction=0.04",
-               "--warmup=0.1", *extra)
+def check_golden(cli, tmp):
+    with open(EXPECTED) as f:
+        expected = f.read().splitlines()
+    check("fixture has one line per policy", len(expected) == len(POLICIES))
+    for policy, want in zip(POLICIES, expected):
+        for threads in (2, 1, 4):
+            out = os.path.join(tmp, "result.json")
+            p = run(cli, "simulate", GOLDEN, f"--policy={policy}",
+                    "--cache-fraction=0.04", f"--threads={threads}",
+                    "--sharded=approx", "--rebalance=100",
+                    f"--result-out={out}")
+            name = f"{policy} --sharded=approx --threads={threads}"
+            check(f"{name} runs", p.returncode == 0, p.stderr.strip()[:200])
+            if p.returncode != 0:
+                continue
+            with open(out) as f:
+                got = f.read().rstrip("\n")
+            check(f"{name} matches the golden result", got == want,
+                  f"got {got[:160]}")
+
+
+def check_single_shard(cli, wct):
+    serial = run(cli, "simulate", wct, "--policy=GDSF(1)",
+                 "--cache-fraction=0.04", "--warmup=0.1")
+    one = run(cli, "simulate", wct, "--policy=GDSF(1)",
+              "--cache-fraction=0.04", "--warmup=0.1", "--sharded=approx",
+              "--threads=4", "--shards=1")
+    check("serial GDSF runs", serial.returncode == 0,
+          serial.stderr.strip()[:200])
+    check("--shards=1 output identical to serial",
+          one.returncode == 0 and one.stdout == serial.stdout,
+          f"rc={one.returncode} stderr={one.stderr.strip()[:200]}")
+
+
+def check_rejected(cli, wct, tmp):
+    for extra, flag in (
+        (("--sharded=exact",), "--sharded"),
+        (("--threads=4", "--sharded=exact"), "--sharded"),
+        (("--sharded=fast",), "--sharded"),
+        (("--threads=4",), "--threads"),
+        (("--threads=1",), "--threads"),
+        (("--shards=8",), "--shards"),
+        (("--rebalance=100",), "--rebalance"),
+    ):
+        p = run(cli, "simulate", wct, "--policy=LRU",
+                "--cache-fraction=0.04", *extra)
+        check(f"{' '.join(extra)} exits 1 naming {flag}",
+              p.returncode == 1 and flag in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+
+    metrics = os.path.join(tmp, "metrics.json")
+    p = run(cli, "simulate", wct, "--policy=LRU", "--cache-fraction=0.04",
+            "--sharded=approx", f"--metrics-out={metrics}")
+    check("--sharded=approx --metrics-out exits 1 with a diagnostic",
+          p.returncode == 1 and "--metrics-out" in p.stderr,
+          f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
 
 def main():
@@ -54,84 +111,15 @@ def main():
     cli = sys.argv[1]
 
     with tempfile.TemporaryDirectory(prefix="webcache_cli_sharded.") as tmp:
+        check_golden(cli, tmp)
+
         wct = os.path.join(tmp, "mix.wct")
         p = run(cli, "generate", "--profile=DFN", "--scale=0.002", "--seed=7",
                 f"--out={wct}")
         check("generate mix", p.returncode == 0, p.stderr.strip()[:200])
-        if FAILURES:
-            print(f"\n{len(FAILURES)} check(s) failed: {FAILURES}",
-                  file=sys.stderr)
-            return 1
-
-        serial = simulate(cli, wct)
-        check("plain simulate", serial.returncode == 0,
-              serial.stderr.strip()[:200])
-
-        for extra, name in (
-            (("--threads=1",), "--threads=1"),
-            (("--threads=4",), "--threads=4"),
-            (("--threads=4", "--shards=8"), "--threads=4 --shards=8"),
-            (("--threads=0",), "--threads=0 (hardware)"),
-        ):
-            p = simulate(cli, wct, *extra)
-            check(f"simulate {name}", p.returncode == 0,
-                  p.stderr.strip()[:200])
-            check(f"{name} output identical to serial",
-                  p.stdout == serial.stdout)
-
-        # The metrics series must be identical too, window for window.
-        serial_json = os.path.join(tmp, "serial.json")
-        sharded_json = os.path.join(tmp, "sharded.json")
-        p = simulate(cli, wct, f"--metrics-out={serial_json}")
-        check("serial --metrics-out", p.returncode == 0,
-              p.stderr.strip()[:200])
-        p = simulate(cli, wct, "--threads=4", f"--metrics-out={sharded_json}")
-        check("sharded --metrics-out", p.returncode == 0,
-              p.stderr.strip()[:200])
-        if not FAILURES:
-            with open(serial_json) as f:
-                serial_doc = json.load(f)
-            with open(sharded_json) as f:
-                sharded_doc = json.load(f)
-            check("metrics schema",
-                  serial_doc.get("schema") == "webcache.metrics.v1")
-            check("metrics JSON identical serial vs sharded",
-                  serial_doc == sharded_doc)
-
-        # Approximate mode is the documented road for heap-ordered policies.
-        gdsf_serial = run(cli, "simulate", wct, "--policy=GDSF(1)",
-                          "--fraction=0.04", "--warmup=0.1")
-        gdsf_approx = run(cli, "simulate", wct, "--policy=GDSF(1)",
-                          "--fraction=0.04", "--warmup=0.1", "--threads=4",
-                          "--sharded=approx")
-        check("GDSF --sharded=approx runs", gdsf_approx.returncode == 0,
-              gdsf_approx.stderr.strip()[:200])
-        check("GDSF serial runs", gdsf_serial.returncode == 0,
-              gdsf_serial.stderr.strip()[:200])
-
-        # --threads=1 is the serial replay, so it takes any policy, even
-        # one the sharded exact pipeline could not run.
-        gds_serial = run(cli, "simulate", wct, "--policy=GDS(packet)",
-                         "--fraction=0.04", "--warmup=0.1")
-        gds_one = run(cli, "simulate", wct, "--policy=GDS(packet)",
-                      "--fraction=0.04", "--warmup=0.1", "--threads=1")
-        check("GDS(packet) --threads=1 runs", gds_one.returncode == 0,
-              f"rc={gds_one.returncode} stderr={gds_one.stderr.strip()[:200]}")
-        check("GDS(packet) --threads=1 output identical to serial",
-              gds_serial.returncode == 0 and
-              gds_one.stdout == gds_serial.stdout)
-
-        # Exact mode cannot shard a global heap; the error must say so.
-        p = run(cli, "simulate", wct, "--policy=GDSF(1)", "--fraction=0.04",
-                "--threads=4", "--sharded=exact")
-        check("exact + heap-ordered policy exits 1 with a diagnostic",
-              p.returncode == 1 and "approx" in p.stderr.lower(),
-              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
-
-        p = simulate(cli, wct, "--sharded=fast")
-        check("bogus --sharded exits 1 with a diagnostic",
-              p.returncode == 1 and "--sharded" in p.stderr,
-              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+        if p.returncode == 0:
+            check_single_shard(cli, wct)
+            check_rejected(cli, wct, tmp)
 
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {FAILURES}",

@@ -208,12 +208,6 @@ def check_lazy_family(cli, tmp):
     check("hierarchy accepts CLOCK policies", p.returncode == 0,
           p.stderr.strip()[:200])
 
-    # Exact sharded replay covers the read-only-hit-path members.
-    p = run(cli, "simulate", wct, "--policy=RANDOM", "--cache-fraction=0.04",
-            "--threads=2", "--sharded=exact")
-    check("sharded exact accepts RANDOM", p.returncode == 0,
-          p.stderr.strip()[:200])
-
     # Metrics JSON schema for a new-family policy.
     mjson = os.path.join(tmp, "lazy_metrics.json")
     p = run(cli, "simulate", wct, "--policy=DELAY-CLOCK:k=2",

@@ -77,14 +77,11 @@ int usage(std::ostream& os) {
         "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
         "           (windowed per-class time series incl. aging L and GD*\n"
         "            beta traces; window defaults to ~1% of the trace)\n"
-        "           [--threads=1] [--shards=0] [--sharded=exact|approx]\n"
-        "           [--rebalance=N]\n"
-        "           (--threads=N replays through the sharded engine;\n"
-        "            exact mode is LRU/FIFO-family only and bit-identical\n"
-        "            to the serial replay, --threads=1 IS the serial\n"
-        "            replay; --sharded=approx opts any policy into the\n"
-        "            per-shard-quota approximation, optionally rebalanced\n"
-        "            every --rebalance=N requests)\n"
+        "           [--sharded=approx [--threads=1] [--shards=8]\n"
+        "            [--rebalance=N]] (approximate parallel replay: one\n"
+        "            cache per shard on a proportional byte quota,\n"
+        "            optionally rebalanced every N requests; results are\n"
+        "            NOT the serial replay's)\n"
         "           [--stream [--chunk=65536] [--densify[=hot-capacity]]]\n"
         "           (--stream replays the binary trace file chunk by chunk\n"
         "            at bounded memory — bit-identical results; needs\n"
@@ -551,27 +548,30 @@ int cmd_simulate(const util::Args& args) {
   const std::uint64_t capacity = capacity_from_args(args, t);
   const std::string metrics_path = args.get("metrics-out", "");
 
-  // Any of the sharded flags routes the replay through the sharded engine;
-  // --threads=1 with auto shards delegates straight back to the serial
-  // simulate() inside ShardedReplay, so the plain and sharded spellings of
-  // a single-threaded run share one code path.
-  const bool sharded_run =
-      args.has("threads") || args.has("shards") || args.has("sharded");
-  sim::ShardedConfig sharded;
-  if (sharded_run) {
-    sharded.threads = static_cast<std::uint32_t>(args.get_uint("threads", 1));
-    sharded.shards = static_cast<std::uint32_t>(args.get_uint("shards", 0));
-    const std::string mode = args.get("sharded", "exact");
-    if (mode == "exact") {
-      sharded.mode = sim::ShardedMode::kExact;
-    } else if (mode == "approx") {
-      sharded.mode = sim::ShardedMode::kApprox;
-    } else {
-      throw std::invalid_argument(
-          "simulate: --sharded must be exact or approx (got '" + mode + "')");
-    }
-    sharded.rebalance_interval = args.get_uint("rebalance", 0);
+  // --sharded=approx opts into per-shard caches on proportional quotas;
+  // its tuning flags mean nothing without it, so they are refused alone.
+  const bool sharded_run = args.has("sharded");
+  if (sharded_run && args.get("sharded", "") != "approx") {
+    throw std::invalid_argument(
+        "simulate: --sharded must be approx (got '" + args.get("sharded", "") +
+        "'); exact results come from the serial replay — drop --sharded");
   }
+  for (const char* flag : {"threads", "shards", "rebalance"}) {
+    if (!sharded_run && args.has(flag)) {
+      throw std::invalid_argument(std::string("simulate: --") + flag +
+                                  " tunes --sharded=approx; add it, or drop "
+                                  "--" + flag + " for the serial replay");
+    }
+  }
+  if (sharded_run && !metrics_path.empty()) {
+    throw std::invalid_argument(
+        "simulate: --metrics-out needs the serial replay; --sharded=approx "
+        "has no single-timeline metrics stream");
+  }
+  sim::ShardedConfig sharded;
+  sharded.threads = static_cast<std::uint32_t>(args.get_uint("threads", 1));
+  sharded.shards = static_cast<std::uint32_t>(args.get_uint("shards", 0));
+  sharded.rebalance_interval = args.get_uint("rebalance", 0);
 
   const auto spec = cache::policy_spec_from_name(policy);
   sim::SimResult r;
@@ -585,10 +585,7 @@ int cmd_simulate(const util::Args& args) {
     const std::uint64_t default_window =
         std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = sharded_run
-            ? sim::simulate_sharded(t, capacity, spec, simulator_options(args),
-                                    sharded, sink)
-            : sim::simulate(t, capacity, spec, simulator_options(args), sink);
+    r = sim::simulate(t, capacity, spec, simulator_options(args), sink);
     write_metrics_file(metrics_path, r, sink);
   }
 
