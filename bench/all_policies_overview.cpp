@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
                      util::fmt_count(r.evictions)});
     };
 
-    add(sim::simulate(t, capacity,
-                      std::make_unique<cache::OptPolicy>(t.requests),
-                      ctx.simulator_options()));
+    cache::SingleCacheFrontend opt_cache(
+        capacity, std::make_unique<cache::OptPolicy>(t.requests));
+    add(sim::simulate(t, opt_cache, ctx.simulator_options()));
     for (const char* name :
          {"GD*(1)", "GD*(packet)", "GD*(latency)", "GD*C(1)",
           "GD*C(packet)", "GDSF(1)", "GDS(1)",

@@ -1,17 +1,19 @@
 // Fault-layer overhead harness.
 //
 // The hierarchy and partitioned replay loops are templated on a fault
-// policy: the plain entry points instantiate them with sim::NoFaults, whose
-// predicates are constexpr and compile away — that instantiation *is* the
-// pre-fault code path, so the no-faults build is structurally zero-cost and
-// bit-identical by construction. What needs measuring is the FaultRun
+// policy: a run without a ReplayHooks::faults schedule instantiates them
+// with sim::detail::NoFaultReplay, whose predicates are constexpr and
+// compile away — that instantiation *is* the pre-fault code path, so the
+// no-faults build is structurally zero-cost and bit-identical by
+// construction. What needs measuring is the FaultRun
 // instantiation: the per-request schedule advance and node-state checks
 // that every request pays once a schedule object is passed, even an empty
 // one. This harness replays a synthetic DFN workload through the 3-edge
 // sibling mesh, sparse and dense, and times three variants per cell:
 //
-//   plain      simulate_hierarchy(trace, config)               — NoFaults
-//   empty      simulate_hierarchy(trace, config, {})           — FaultRun,
+//   plain      simulate_hierarchy(trace, config)          — NoFaultReplay
+//   empty      simulate_hierarchy(trace, config,
+//                                 {.faults = &empty})         — FaultRun,
 //              no events: the steady-state cost of the fault machinery
 //   faulted    a crash/outage/recovery scenario actually firing
 //
@@ -137,12 +139,14 @@ OverheadCell run_cell(const TraceT& trace, const sim::HierarchyConfig& config,
     };
     const auto run_empty = [&] {
       b = timed([&] {
-        empty_result = sim::simulate_hierarchy(trace, config, empty);
+        empty_result =
+            sim::simulate_hierarchy(trace, config, {.faults = &empty});
       });
     };
     const auto run_faulted = [&] {
       c = timed([&] {
-        faulted_result = sim::simulate_hierarchy(trace, config, scenario);
+        faulted_result =
+            sim::simulate_hierarchy(trace, config, {.faults = &scenario});
       });
     };
     switch (i % 3) {
@@ -227,7 +231,7 @@ int main(int argc, char** argv) {
   std::cout << "\ngeomean empty-schedule overhead: "
             << util::fmt_fixed(geomean_empty, 2) << "%, worst cell: "
             << util::fmt_fixed(worst_empty, 2)
-            << "% (NoFaults is the plain instantiation: 0% by construction)\n";
+            << "% (NoFaultReplay is the plain instantiation: 0% by construction)\n";
 
   std::ostringstream json;
   json << "{\n"

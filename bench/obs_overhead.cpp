@@ -1,7 +1,7 @@
 // Instrumentation overhead harness for the obs layer.
 //
-// The replay loops are templated on a StatsSink. The uninstrumented
-// simulate() entry points instantiate the loop with obs::NullSink, whose
+// The replay loops are templated on a StatsSink. A simulate() call without
+// a ReplayHooks::sink instantiates the loop with obs::NullSink, whose
 // hooks are empty inline functions — that instantiation *is* the pre-obs
 // code path, so the NullSink build is structurally zero-cost and
 // bit-identical by construction. What needs measuring is the RecordingSink
@@ -154,7 +154,7 @@ OverheadCell run_cell(const TraceT& trace, std::uint64_t capacity,
     const auto run_recording = [&] {
       r = timed([&] {
         recording_result =
-            sim::simulate(trace, capacity, spec, options, sink);
+            sim::simulate(trace, capacity, spec, options, {.sink = &sink});
       });
     };
     if (i % 2 == 0) {

@@ -31,9 +31,10 @@ int main(int argc, char** argv) {
                       util::fmt_bytes(static_cast<double>(capacity)) + ")");
     table.set_header({"Policy", "Hit rate", "% of OPT", "Byte hit rate"});
 
+    cache::SingleCacheFrontend opt_cache(
+        capacity, std::make_unique<cache::OptPolicy>(t.requests));
     const sim::SimResult opt =
-        sim::simulate(t, capacity, std::make_unique<cache::OptPolicy>(t.requests),
-                      ctx.simulator_options());
+        sim::simulate(t, opt_cache, ctx.simulator_options());
     table.add_row({"OPT (clairvoyant)",
                    util::fmt_fixed(opt.overall.hit_rate(), 4), "100.0",
                    util::fmt_fixed(opt.overall.byte_hit_rate(), 4)});

@@ -197,7 +197,8 @@ TraceReport run_trace(const std::string& name, const trace::Trace& trace,
     });
     obs::RecordingSink sink(10000);
     const auto recording = best_of(reps, [&] {
-      return sim::simulate(dense, report.capacity_bytes, spec, options, sink);
+      return sim::simulate(dense, report.capacity_bytes, spec, options,
+                           {.sink = &sink});
     });
 
     CellReport cell;
@@ -559,9 +560,12 @@ std::vector<CompositeCell> run_streaming_cells(
     const trace::Trace loaded = trace::read_binary_trace_file(path.string());
     return sim::simulate(loaded, capacity, lru, options);
   });
+  sim::StreamCheckpointJob job;
+  job.options = options;
   const auto streamed = best_of(reps, [&] {
     trace::StreamingTraceReader reader(path.string());
-    return sim::simulate_stream(reader, capacity, lru, options);
+    return sim::simulate_stream_checkpointed(reader, capacity, lru, job)
+        .result;
   });
   cells.push_back(make_composite_cell(
       "file-streamed LRU replay", requests, materialized.seconds,
@@ -571,8 +575,7 @@ std::vector<CompositeCell> run_streaming_cells(
 
   const auto densified = best_of(reps, [&] {
     trace::StreamingTraceReader reader(path.string());
-    cache::SingleCacheFrontend frontend(capacity, cache::make_policy(lru));
-    return sim::simulate_stream_densified(reader, frontend, options);
+    return sim::simulate_stream_densified(reader, capacity, lru, options);
   });
   cells.push_back(make_composite_cell(
       "file-streamed LRU replay (online densify)", requests,
@@ -616,10 +619,10 @@ std::vector<CompositeCell> run_streaming_cells(
 // ---- checkpointed streaming replay: snapshot cost per cadence ----
 
 /// Races the checkpointed streaming replay against the plain streamed
-/// baseline at three cadences: off (the machinery engaged but no snapshot
-/// ever written — must cost nothing), every 10^6 and every 10^5 requests
-/// (the serialization + atomic-write cost amortized over the cadence), plus
-/// a requests/8 cell so snapshot writes are exercised at any --scale. Every
+/// replay (the same engine with checkpoints off) at two cadences: every
+/// 10^6 and every 10^5 requests (the serialization + atomic-write cost
+/// amortized over the cadence), plus a requests/8 cell so snapshot writes
+/// are exercised at any --scale. Every
 /// cell cross-checks bit-identity with the uncheckpointed run: snapshot
 /// writes observe the replay, they must never perturb it.
 std::vector<CompositeCell> run_checkpoint_cells(
@@ -634,9 +637,12 @@ std::vector<CompositeCell> run_checkpoint_cells(
   const double requests = static_cast<double>(trace.requests.size());
   const cache::PolicySpec lru = cache::policy_spec_from_name("LRU");
 
+  sim::StreamCheckpointJob plain_job;
+  plain_job.options = options;
   const auto plain = best_of(reps, [&] {
     trace::StreamingTraceReader reader(path.string());
-    return sim::simulate_stream(reader, capacity, lru, options);
+    return sim::simulate_stream_checkpointed(reader, capacity, lru, plain_job)
+        .result;
   });
 
   struct Cadence {
@@ -644,7 +650,6 @@ std::vector<CompositeCell> run_checkpoint_cells(
     std::uint64_t every;
   };
   const std::vector<Cadence> cadences = {
-      {"checkpointed LRU replay (cadence off)", 0},
       {"checkpointed LRU replay (every 10^6)", 1'000'000},
       {"checkpointed LRU replay (every 10^5)", 100'000},
       {"checkpointed LRU replay (every requests/8)",

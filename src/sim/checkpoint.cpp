@@ -596,12 +596,10 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
                                  cache::CacheFrontend& frontend,
                                  const StreamCheckpointJob& job,
                                  const CheckpointFingerprint& fp, Sink& sink,
-                                 Faults* faults) {
+                                 Faults& faults) {
   namespace fs = std::filesystem;
-  constexpr bool kRecording = std::is_same_v<Sink, obs::RecordingSink>;
   using LastSize = std::conditional_t<Densified, GrowingDenseLastSize,
                                       SparseLastSize>;
-  constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
 
   const CheckpointConfig& config = job.checkpoint;
   auto last_size = [&] {
@@ -619,7 +617,6 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     frontend.reserve_dense_ids(0);
   }
 
-  if constexpr (kRecording) sink.begin_run(frontend);
   ReplayCore<LastSize, Sink, Faults> core(
       frontend, job.options, last_size, sink, stream.total_requests(), faults);
 
@@ -665,16 +662,16 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         last_size.restore_state(r);
         r.expect_end();
       }
-      if constexpr (kRecording) {
+      if constexpr (kRecording<Sink>) {
         auto r = reader(need_section(selected->sections, "metrics", file));
         sink.restore_state(r);
         r.expect_end();
       }
-      if constexpr (kFaulted) {
+      if constexpr (Faults::kEnabled) {
         // The schedule prefix is pure state: replay it without side effects
         // (the crashed-cache contents and the sink's event counters were
         // already restored above).
-        faults->advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
+        faults.advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
       }
       skip = consumed;
       out.resumed_from = consumed;
@@ -714,7 +711,7 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
       densifier->save_state(w);
       add("densifier", std::move(w));
     }
-    if constexpr (kRecording) {
+    if constexpr (kRecording<Sink>) {
       util::StateWriter w;
       sink.save_state(w);
       add("metrics", std::move(w));
@@ -731,19 +728,30 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     fs::create_directories(config.dir, ec);
   }
 
+  // The request count after which the loop next looks up from step(): the
+  // next checkpoint or the stop seam, whichever comes first.
+  const auto next_event = [&config](std::uint64_t done) {
+    std::uint64_t next = UINT64_MAX;
+    if (config.every != 0) next = (done / config.every + 1) * config.every;
+    if (config.stop_after_requests > done) {
+      next = std::min(next, config.stop_after_requests);
+    }
+    return next;
+  };
+  std::uint64_t event = next_event(core.consumed());
+
   for (auto chunk = stream.next_chunk(); !chunk.empty();
        chunk = stream.next_chunk()) {
-    for (const trace::Request& r : chunk) {
-      if (skip > 0) {
-        // Fast-forward after resume: requests up to the checkpoint were
-        // already accounted; they must not touch the restored densifier or
-        // last-size state again.
-        --skip;
-        continue;
-      }
-      if (crash_at != 0 && core.consumed() + 1 == crash_at) {
-        std::raise(SIGKILL);
-      }
+    // Fast-forward after resume: requests up to the checkpoint were already
+    // accounted; they must not touch the restored densifier or last-size
+    // state again.
+    if (skip >= chunk.size()) {
+      skip -= chunk.size();
+      continue;
+    }
+    for (const trace::Request& r : chunk.subspan(skip)) {
+      // crash_at == 0 (unset) never matches: consumed() + 1 >= 1.
+      if (core.consumed() + 1 == crash_at) std::raise(SIGKILL);
       if constexpr (Densified) {
         trace::Request dense = r;
         dense.document = densifier->densify(r.document);
@@ -751,38 +759,23 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
       } else {
         core.step(r);
       }
+      if (core.consumed() != event) continue;
       const std::uint64_t done = core.consumed();
-      const bool stopping = config.stop_after_requests != 0 &&
-                            done == config.stop_after_requests;
+      const bool stopping = done == config.stop_after_requests;
       if (config.every != 0 && (done % config.every == 0 || stopping)) {
         write_checkpoint();
       }
       if (stopping) {
-        if constexpr (kRecording) sink.end_run();
         out.result = core.finish();
         out.stopped_early = true;
         return out;
       }
+      event = next_event(done);
     }
+    skip = 0;
   }
-  if constexpr (kRecording) sink.end_run();
   out.result = core.finish();
   return out;
-}
-
-template <bool Densified, typename Sink>
-CheckpointedRun dispatch_faults(trace::RequestStream& stream,
-                                cache::CacheFrontend& frontend,
-                                const StreamCheckpointJob& job,
-                                const CheckpointFingerprint& fp, Sink& sink) {
-  if (job.faults != nullptr) {
-    FaultRun run(*job.faults, frontend.fault_domains(), /*has_root=*/false);
-    return run_checkpointed<Densified, Sink, FaultRun>(stream, frontend, job,
-                                                       fp, sink, &run);
-  }
-  return run_checkpointed<Densified, Sink, NoFaultReplay>(stream, frontend,
-                                                          job, fp, sink,
-                                                          nullptr);
 }
 
 }  // namespace
@@ -799,20 +792,16 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
   }
   const CheckpointFingerprint fp =
       detail::make_stream_fingerprint(frontend, stream, job);
-  if (job.densified) {
-    if (job.sink != nullptr) {
-      return detail::dispatch_faults<true>(stream, frontend, job, fp,
-                                           *job.sink);
-    }
-    obs::NullSink null;
-    return detail::dispatch_faults<true>(stream, frontend, job, fp, null);
-  }
-  if (job.sink != nullptr) {
-    return detail::dispatch_faults<false>(stream, frontend, job, fp,
-                                          *job.sink);
-  }
-  obs::NullSink null;
-  return detail::dispatch_faults<false>(stream, frontend, job, fp, null);
+  return detail::with_hooks(
+      job, frontend.fault_domains(), /*has_root=*/false,
+      [&](auto& sink, auto& faults) {
+        if (job.densified) {
+          return detail::run_checkpointed<true>(stream, frontend, job, fp,
+                                                sink, faults);
+        }
+        return detail::run_checkpointed<false>(stream, frontend, job, fp,
+                                               sink, faults);
+      });
 }
 
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,

@@ -2,11 +2,12 @@
 //
 // A long replay is a deterministic state machine: (trace, frontend config,
 // options, schedule, seed) fully determine every counter. simulate_stream_
-// checkpointed() drives the same ReplayCore as simulate_stream(), but every
-// `every` requests it serializes the complete run state — policy and object
-// table (CacheFrontend::save_state), last-size tracker, online densifier
-// mapping, metrics windows, accumulated SimResult, fault-schedule cursor
-// position — into a versioned, per-section-CRC'd checkpoint file, written
+// checkpointed() is the one stream engine: it drives the same ReplayCore as
+// simulate(), and every `every` requests (when `every` > 0) it serializes
+// the complete run state — policy and object table
+// (CacheFrontend::save_state), last-size tracker, online densifier mapping,
+// metrics windows, accumulated SimResult, fault-schedule cursor position —
+// into a versioned, per-section-CRC'd checkpoint file, written
 // atomically (temp file + fsync + rename + directory fsync). A run killed
 // at any instant — including mid-checkpoint-write — resumes from the newest
 // valid checkpoint and finishes with counters, latency doubles and
@@ -71,9 +72,8 @@ std::uint64_t fault_schedule_hash(const FaultSchedule& schedule);
 struct CheckpointConfig {
   /// Directory holding the checkpoint ring; created if absent.
   std::string dir;
-  /// Checkpoint cadence in requests (0 = never write; the run is then
-  /// bit-identical to simulate_stream by construction — no per-request
-  /// bookkeeping is added).
+  /// Checkpoint cadence in requests (0 = never write: with resume off, a
+  /// plain streamed replay).
   std::uint64_t every = 0;
   /// Retention: newest `keep` checkpoint files survive, older ones are
   /// pruned after each successful write.
@@ -102,25 +102,36 @@ struct CheckpointedRun {
   bool stopped_early = false;
 };
 
-/// Optional collaborators for the checkpointed replay. The four
-/// combinations of {densified, sink} x {faults, none} dispatch to the same
-/// ReplayCore instantiations the plain simulate_stream overloads use.
-struct StreamCheckpointJob {
+/// One streamed replay: the options, the checkpoint configuration, the
+/// optional id densification, and the optional sink and fault schedule
+/// (the inherited ReplayHooks, with the meaning simulate() gives them; the
+/// fault events key off the global 1-based request index, so a schedule is
+/// applied identically however the stream is chunked).
+///
+/// Densified runs renumber document ids online through a bounded
+/// trace::OnlineDensifier before they reach the frontend, which is switched
+/// to its dense mode with no universe (reserve_dense_ids(0): the flat
+/// indexes grow as new ids appear, so the frontend must be empty), and the
+/// last-size tracker is a flat growing vector. The result is bit-identical
+/// to the sparse run (document identity is only compared for equality;
+/// ties break by insertion sequence).
+struct StreamCheckpointJob : ReplayHooks {
   SimulatorOptions options{};
   CheckpointConfig checkpoint{};
   bool densified = false;
   trace::OnlineDensifier::Options densify_options{};
-  obs::RecordingSink* sink = nullptr;      // optional instrumentation
-  const FaultSchedule* faults = nullptr;   // optional fault scenario
 };
 
-/// The checkpointed streaming replay. With checkpoint.every == 0 and
-/// checkpoint.resume == false this replays exactly like the matching
-/// simulate_stream overload. Throws std::runtime_error on unusable
-/// checkpoint state (fingerprint mismatch, or a resume where every
-/// candidate file is corrupt); structurally invalid files are skipped with
-/// a named reason (retrievable via checkpoint_resume_diagnostics() for the
-/// last resume attempt on this thread).
+/// The stream engine: replays the stream through the frontend chunk by
+/// chunk, at O(chunk + cache-state) memory, with a SimResult bit-identical
+/// to materializing the stream and calling simulate(). The stream is
+/// consumed (call stream.reset() to replay it again). With
+/// checkpoint.every == 0 and checkpoint.resume == false it is a plain
+/// streamed replay and needs no checkpoint dir. Throws std::runtime_error
+/// on unusable checkpoint state (fingerprint mismatch, or a resume where
+/// every candidate file is corrupt); structurally invalid files are skipped
+/// with a named reason (retrievable via checkpoint_resume_diagnostics() for
+/// the last resume attempt on this thread).
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              cache::CacheFrontend& frontend,
                                              const StreamCheckpointJob& job);

@@ -16,16 +16,18 @@
 //    origin and still warm the edge cache;
 //  * edge AND root down    -> the request is LOST (counted in the request
 //    totals, never as a hit).
-// A partitioned cache maps node i to document-class partition i; a down
-// partition has no failover path inside one box, so its requests are lost.
+// A single-frontend replay (simulate() with ReplayHooks::faults) maps node
+// i to fault domain i of the frontend — for a partitioned cache, the
+// partition of document class i; a down domain has no failover path inside
+// one box, so its requests are lost.
 //
 // Probe timeouts are deterministic: a hash of (seed, request index,
 // sibling, attempt) against probe_timeout_rate decides each attempt, and a
 // sibling is skipped only after 1 + max_probe_retries attempts all time
 // out.
 //
-// With an empty schedule every fault-aware entry point is bit-identical to
-// its plain counterpart (tests/sim/fault_equivalence_test.cpp).
+// With an empty schedule every fault-aware replay is bit-identical to the
+// plain one (tests/sim/fault_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,12 +35,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/partitioned.hpp"
 #include "obs/stats_sink.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
-#include "trace/dense_trace.hpp"
-#include "trace/request.hpp"
 
 namespace webcache::sim {
 
@@ -220,56 +218,5 @@ class FaultRun {
   std::vector<std::uint8_t> node_up_;
   std::vector<std::uint8_t> degraded_;
 };
-
-// ---- fault-aware single-frontend replay ----
-//
-// Node i is fault domain i of the frontend (CacheFrontend::fault_domains):
-// one domain for a plain cache, one per document-class partition for a
-// PartitionedCache — so for partitioned caches node i is the partition of
-// class i, exactly the PR-4 semantics. A crash drops the domain's contents
-// (CacheFrontend::crash_domain); while down, the domain's requests are
-// lost — a single box has no failover path. Root and probe events are
-// rejected at construction. With an empty schedule the result is
-// bit-identical to the plain simulate() overloads. Lost requests are
-// excluded from the latency model (nothing was fetched for them).
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
-
-// PartitionedCache overloads (kept for callers that name the concrete
-// type): identical behavior to the CacheFrontend overloads above.
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
 
 }  // namespace webcache::sim

@@ -8,6 +8,7 @@
 #include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/last_size.hpp"
+#include "sim/replay_core.hpp"
 
 namespace webcache::sim {
 
@@ -39,19 +40,6 @@ void validate_config(const HierarchyConfig& config) {
     throw std::invalid_argument("simulate_hierarchy: bad warmup fraction");
   }
 }
-
-// Stand-in for FaultRun on plain (no-schedule) runs: kEnabled folds every
-// fault branch away under `if constexpr`, and the constant-true node
-// queries let the shared conditions ("edge_up && ...") optimize out. The
-// NoFaults instantiation therefore IS the pre-fault loop — bit-identical
-// results by construction (tests/sim/fault_equivalence_test.cpp then pins
-// the FaultRun instantiation with an empty schedule to the same output).
-struct NoFaults {
-  static constexpr bool kEnabled = false;
-  static constexpr bool node_up(std::uint32_t) { return true; }
-  static constexpr bool root_up() { return true; }
-  static constexpr bool degraded(std::uint32_t) { return false; }
-};
 
 // ICP sibling probe: scans the other edges and serves from the first one
 // holding the document. Under faults, down siblings are skipped and a
@@ -91,16 +79,46 @@ bool probe_siblings(const trace::Request& r, std::uint64_t index,
   return sibling_hit;
 }
 
+// Instrumented runs snapshot the whole mesh: occupancy and heap entries
+// summed over edges + root; the aging/beta trace is the root's (the level
+// the paper's GD*(packet) analysis concerns — edges each run their own
+// estimator, probe them separately if needed).
+void attach_sink(obs::RecordingSink& sink,
+                 std::vector<std::unique_ptr<cache::Cache>>& edges,
+                 cache::Cache& root) {
+  sink.begin_run([&edges, &root] {
+    obs::Snapshot snap;
+    cache::Occupancy total = root.occupancy();
+    snap.heap_entries = root.policy_probe().heap_entries;
+    for (const auto& edge : edges) {
+      const cache::Occupancy occ = edge->occupancy();
+      total.total_bytes += occ.total_bytes;
+      total.total_objects += occ.total_objects;
+      snap.heap_entries += edge->policy_probe().heap_entries;
+    }
+    snap.occupancy_bytes = total.total_bytes;
+    snap.occupancy_objects = total.total_objects;
+    const cache::PolicyProbe probe = root.policy_probe();
+    snap.aging = probe.aging;
+    snap.beta = probe.beta;
+    return snap;
+  });
+  for (const auto& edge : edges) edge->set_removal_listener(&sink);
+  root.set_removal_listener(&sink);
+}
+
 // The replay loop, shared between the sparse and dense paths (only the
 // last-size representation differs; the caches themselves were already
 // switched by reserve_dense_ids before entry) and between plain and
-// fault-injected runs (F = NoFaults folds all fault handling away).
+// fault-injected runs (F = detail::NoFaultReplay folds all fault handling
+// away).
 template <typename LastSize, typename F, obs::StatsSink Sink>
 HierarchyResult hierarchy_loop(const trace::Trace& trace,
                                const HierarchyConfig& config,
                                std::vector<std::unique_ptr<cache::Cache>>& edges,
                                cache::Cache& root, LastSize& last_size,
                                F& faults, Sink& sink) {
+  if constexpr (detail::kRecording<Sink>) attach_sink(sink, edges, root);
   HierarchyResult result;
   const std::uint64_t total = trace.requests.size();
   const auto warmup = static_cast<std::uint64_t>(std::floor(
@@ -294,6 +312,7 @@ HierarchyResult hierarchy_loop(const trace::Trace& trace,
 
   result.root_evictions = root.eviction_count();
   for (const auto& e : edges) result.edge_evictions += e->eviction_count();
+  if constexpr (detail::kRecording<Sink>) sink.end_run();
   return result;
 }
 
@@ -374,171 +393,41 @@ double HierarchyResult::latency_savings() const {
              : 1.0 - miss_latency_ms / all_miss_latency_ms;
 }
 
-namespace {
-
-// Instrumented runs snapshot the whole mesh: occupancy and heap entries
-// summed over edges + root; the aging/beta trace is the root's (the level
-// the paper's GD*(packet) analysis concerns — edges each run their own
-// estimator, probe them separately if needed).
-void attach_sink(obs::RecordingSink& sink,
-                 std::vector<std::unique_ptr<cache::Cache>>& edges,
-                 cache::Cache& root) {
-  sink.begin_run([&edges, &root] {
-    obs::Snapshot snap;
-    cache::Occupancy total = root.occupancy();
-    snap.heap_entries = root.policy_probe().heap_entries;
-    for (const auto& edge : edges) {
-      const cache::Occupancy occ = edge->occupancy();
-      total.total_bytes += occ.total_bytes;
-      total.total_objects += occ.total_objects;
-      snap.heap_entries += edge->policy_probe().heap_entries;
-    }
-    snap.occupancy_bytes = total.total_bytes;
-    snap.occupancy_objects = total.total_objects;
-    const cache::PolicyProbe probe = root.policy_probe();
-    snap.aging = probe.aging;
-    snap.beta = probe.beta;
-    return snap;
-  });
-  for (const auto& edge : edges) edge->set_removal_listener(&sink);
-  root.set_removal_listener(&sink);
-}
-
-}  // namespace
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  detail::SparseLastSize last_size(trace.requests.size());
-  NoFaults no_faults;
-  obs::NullSink sink;
-  return hierarchy_loop(trace, config, edges, root, last_size, no_faults,
-                        sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  // Each cache in the mesh sees a subset of the same dense universe, so
-  // every one reserves the full bound.
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  NoFaults no_faults;
-  obs::NullSink sink;
-  return hierarchy_loop(trace.trace, config, edges, root, last_size,
-                        no_faults, sink);
-}
-
 HierarchyResult simulate_hierarchy(const trace::Trace& trace,
                                    const HierarchyConfig& config,
-                                   obs::RecordingSink& sink) {
+                                   const ReplayHooks& hooks) {
   validate_config(config);
   std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
   cache::Cache root(config.root_capacity_bytes,
                     cache::make_policy(config.root_policy));
-  detail::SparseLastSize last_size(trace.requests.size());
-  NoFaults no_faults;
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace, config, edges, root, last_size, no_faults, sink);
-  sink.end_run();
-  return result;
+  return detail::with_hooks(
+      hooks, config.edge_count, /*has_root=*/true,
+      [&](auto& sink, auto& faults) {
+        detail::SparseLastSize last_size(trace.requests.size());
+        return hierarchy_loop(trace, config, edges, root, last_size, faults,
+                              sink);
+      });
 }
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
-                                   obs::RecordingSink& sink) {
+                                   const ReplayHooks& hooks) {
   validate_config(config);
   std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
   cache::Cache root(config.root_capacity_bytes,
                     cache::make_policy(config.root_policy));
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  NoFaults no_faults;
-  attach_sink(sink, edges, root);
-  HierarchyResult result = hierarchy_loop(trace.trace, config, edges, root,
-                                          last_size, no_faults, sink);
-  sink.end_run();
-  return result;
-}
-
-// ---- fault-aware overloads ----
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  detail::SparseLastSize last_size(trace.requests.size());
-  obs::NullSink sink;
-  return hierarchy_loop(trace, config, edges, root, last_size, run, sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  obs::NullSink sink;
-  return hierarchy_loop(trace.trace, config, edges, root, last_size, run,
-                        sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  detail::SparseLastSize last_size(trace.requests.size());
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace, config, edges, root, last_size, run, sink);
-  sink.end_run();
-  return result;
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace.trace, config, edges, root, last_size, run, sink);
-  sink.end_run();
-  return result;
+  return detail::with_hooks(
+      hooks, config.edge_count, /*has_root=*/true,
+      [&](auto& sink, auto& faults) {
+        // Each cache in the mesh sees a subset of the same dense universe,
+        // so every one reserves the full bound.
+        const std::uint64_t universe = trace.document_count();
+        for (const auto& edge : edges) edge->reserve_dense_ids(universe);
+        root.reserve_dense_ids(universe);
+        detail::DenseLastSize last_size(universe);
+        return hierarchy_loop(trace.trace, config, edges, root, last_size,
+                              faults, sink);
+      });
 }
 
 }  // namespace webcache::sim

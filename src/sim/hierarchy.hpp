@@ -102,8 +102,26 @@ struct HierarchyResult {
   double latency_savings() const;
 };
 
+/// Replays the trace through the mesh. The optional hooks
+/// (sim/simulator.hpp):
+///  * sink — observes the client-offered stream (a "hit" is service by any
+///    level), evictions from every cache in the mesh, and per-window
+///    snapshots of mesh-wide occupancy/heap size with the *root's*
+///    aging/beta trace. Results are bit-identical to an uninstrumented run.
+///  * faults — edge crashes lose the edge's contents and divert its clients
+///    to the siblings (when cooperation is on; down siblings are skipped,
+///    degraded ones may time out with bounded retry) and then to the root;
+///    during a root outage edge misses are served from the origin and still
+///    warm the edge; an edge-down/root-down double fault loses the request
+///    (counted in offered.requests, never as a hit). Node i is edge i; root
+///    events address the root. With an empty schedule the result is
+///    bit-identical to a plain run (tests/sim/fault_equivalence_test.cpp).
+///    With a sink as well, the run also feeds the sink's fault hooks:
+///    per-window availability, failovers, losses, and post-recovery warm-up
+///    curves.
 HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config);
+                                   const HierarchyConfig& config,
+                                   const ReplayHooks& hooks = {});
 
 /// Dense-id fast path: a trace run through trace::densify() carries the
 /// document-count bound, so every edge cache and the root reserve the full
@@ -114,47 +132,8 @@ HierarchyResult simulate_hierarchy(const trace::Trace& trace,
 /// sparse overload — same hits, same eviction order, same tie-breaking —
 /// only faster.
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config);
-
-/// Instrumented runs: the sink observes the client-offered stream (a "hit"
-/// is service by any level), evictions from every cache in the mesh, and
-/// per-window snapshots of mesh-wide occupancy/heap size with the *root's*
-/// aging/beta trace. Results are bit-identical to the uninstrumented
-/// overloads.
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
                                    const HierarchyConfig& config,
-                                   obs::RecordingSink& sink);
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   obs::RecordingSink& sink);
-
-// ---- fault-aware runs (sim/faults.hpp) ----
-//
-// Same replay under a FaultSchedule: edge crashes lose the edge's contents
-// and divert its clients to the siblings (when cooperation is on; down
-// siblings are skipped, degraded ones may time out with bounded retry) and
-// then to the root; during a root outage edge misses are served from the
-// origin and still warm the edge; an edge-down/root-down double fault
-// loses the request (counted in offered.requests, never as a hit). With an
-// empty schedule the result is bit-identical to the plain overloads
-// (tests/sim/fault_equivalence_test.cpp). The instrumented forms
-// additionally feed the sink's fault hooks: per-window availability,
-// failovers, losses, and post-recovery warm-up curves.
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults);
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults);
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink);
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink);
+                                   const ReplayHooks& hooks = {});
 
 /// The deterministic request -> edge assignment (exposed for tests):
 /// by client id when present, by request index otherwise.

@@ -1,8 +1,8 @@
 // Step-wise core of the replay loops.
 //
-// simulate() (simulator.cpp), the fault-aware simulate() overloads
-// (faults.cpp) and the streaming entry points (streaming.cpp) all advance a
-// cache frontend one request at a time and account the identical SimResult
+// simulate() (simulator.cpp) and the stream engine,
+// simulate_stream_checkpointed() (checkpoint.cpp), both advance a cache
+// frontend one request at a time and account the identical SimResult
 // fields. ReplayCore is that per-request body factored into begin/step/
 // finish form, so a chunked stream drives exactly the same instructions as
 // a materialized for-loop — the streamed results are bit-identical by
@@ -11,7 +11,9 @@
 //
 // The Faults parameter follows the sink pattern: the NoFaultReplay
 // instantiation compiles the fault-domain checks away entirely, so the
-// plain replay is still the pre-fault code path.
+// plain replay is still the pre-fault code path. with_hooks() turns a
+// ReplayHooks into one of the four {NullSink, RecordingSink} x
+// {NoFaultReplay, FaultRun} instantiations, once per run.
 #pragma once
 
 #include <cmath>
@@ -20,6 +22,7 @@
 
 #include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
+#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -27,28 +30,62 @@
 
 namespace webcache::sim::detail {
 
-/// Tag selecting the fault-free replay (no per-request fault bookkeeping is
-/// even compiled in).
-struct NoFaultReplay {};
+/// Stand-in for FaultRun on fault-free runs: kEnabled folds every fault
+/// branch away under `if constexpr`, and the constant node queries let
+/// shared conditions ("edge_up && ...") optimize out. The NoFaultReplay
+/// instantiation of a loop therefore IS the pre-fault loop — no
+/// per-request fault bookkeeping is even compiled in
+/// (tests/sim/fault_equivalence_test.cpp pins the FaultRun instantiation
+/// with an empty schedule to the same output).
+struct NoFaultReplay {
+  static constexpr bool kEnabled = false;
+  static constexpr bool node_up(std::uint32_t) { return true; }
+  static constexpr bool root_up() { return true; }
+  static constexpr bool degraded(std::uint32_t) { return false; }
+};
 
-template <typename LastSize, obs::StatsSink Sink,
-          typename Faults = NoFaultReplay>
+template <typename Sink>
+inline constexpr bool kRecording = std::is_same_v<Sink, obs::RecordingSink>;
+
+/// Calls replay(sink, faults) with `sink` the hooks' RecordingSink or an
+/// obs::NullSink, and `faults` a FaultRun over the hooks' schedule (built
+/// for `fault_nodes` nodes, with or without a root; its constructor
+/// validates the schedule) or a NoFaultReplay. The hooks are read here,
+/// once; each of the four calls is its own instantiation of the loop.
+template <typename Replay>
+auto with_hooks(const ReplayHooks& hooks, std::uint32_t fault_nodes,
+                bool has_root, Replay&& replay) {
+  obs::NullSink null_sink;
+  if (hooks.faults != nullptr) {
+    FaultRun faults(*hooks.faults, fault_nodes, has_root);
+    if (hooks.sink != nullptr) return replay(*hooks.sink, faults);
+    return replay(null_sink, faults);
+  }
+  NoFaultReplay no_faults;
+  if (hooks.sink != nullptr) return replay(*hooks.sink, no_faults);
+  return replay(null_sink, no_faults);
+}
+
+template <typename LastSize, obs::StatsSink Sink, typename Faults>
 class ReplayCore {
-  static constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
+  static constexpr bool kFaulted = Faults::kEnabled;
 
  public:
   /// `total_requests` must be the whole run's length (streams know it up
   /// front) — it places the warm-up boundary and the occupancy stride
   /// exactly where a materialized replay would. `faults` must outlive the
-  /// core and is ignored by the NoFaultReplay instantiation.
+  /// core and is ignored by the NoFaultReplay instantiation. A
+  /// RecordingSink is attached to the frontend here (begin_run resets its
+  /// series) and detached by finish().
   ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
              LastSize& last_size, Sink& sink, std::uint64_t total_requests,
-             Faults* faults = nullptr)
+             Faults& faults)
       : cache_(cache),
         options_(options),
         last_size_(last_size),
         sink_(sink),
         faults_(faults) {
+    if constexpr (kRecording<Sink>) sink_.begin_run(cache);
     result_.policy_name = cache.description();
     result_.capacity_bytes = cache.capacity_bytes();
     warmup_ = static_cast<std::uint64_t>(std::floor(
@@ -70,7 +107,7 @@ class ReplayCore {
     const std::uint64_t size = r.transfer_size;
 
     if constexpr (kFaulted) {
-      faults_->advance(index_,
+      faults_.advance(index_,
                        [&](std::uint32_t node, obs::FaultEventKind kind) {
                          if (kind == obs::FaultEventKind::kCrash) {
                            cache_.crash_domain(node);
@@ -78,7 +115,7 @@ class ReplayCore {
                          sink_.on_fault_event(node, kind);
                          ++result_.faults.events_applied;
                        });
-      sink_.on_node_state(faults_->up_nodes(), faults_->total_nodes());
+      sink_.on_node_state(faults_.up_nodes(), faults_.total_nodes());
     }
 
     SizeChange change;
@@ -89,7 +126,7 @@ class ReplayCore {
 
     if constexpr (kFaulted) {
       const std::uint32_t node = cache_.fault_domain_of(r.doc_class);
-      if (!faults_->node_up(node)) {
+      if (!faults_.node_up(node)) {
         sink_.on_request_lost(r.doc_class, size, measured);
         if (measured) {
           HitCounters& cls =
@@ -122,7 +159,10 @@ class ReplayCore {
     sample_occupancy();
   }
 
-  SimResult finish() { return std::move(result_); }
+  SimResult finish() {
+    if constexpr (kRecording<Sink>) sink_.end_run();
+    return std::move(result_);
+  }
 
   // ---- checkpointing ----
   //
@@ -195,7 +235,7 @@ class ReplayCore {
   const SimulatorOptions& options_;
   LastSize& last_size_;
   Sink& sink_;
-  Faults* faults_;
+  Faults& faults_;
   SimResult result_;
   std::uint64_t warmup_ = 0;
   std::uint64_t occupancy_stride_ = 0;

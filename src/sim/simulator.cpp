@@ -1,9 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "obs/stats_sink.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
@@ -13,113 +9,65 @@ namespace {
 
 using detail::validate_options;
 
-// Templated on the sink so the NullSink instantiation *is* the pre-obs
-// loop: the empty inline hook compiles away and results stay bit-identical
+// Templated on the sink and the fault handling so the NullSink /
+// NoFaultReplay instantiation *is* the pre-obs, pre-fault loop: the empty
+// inline hooks compile away and results stay bit-identical
 // (tests/obs/obs_equivalence_test.cpp; bench/obs_overhead measures it).
-// The per-request body lives in detail::ReplayCore, shared with the
-// fault-aware loop (faults.cpp) and the streaming entry points
-// (streaming.cpp).
-template <typename LastSize, obs::StatsSink Sink>
-SimResult simulate_loop(const trace::Trace& trace, cache::CacheFrontend& cache,
-                        const SimulatorOptions& options, LastSize& last_size,
-                        Sink& sink) {
-  detail::ReplayCore<LastSize, Sink> core(cache, options, last_size, sink,
-                                          trace.requests.size());
+// The per-request body lives in detail::ReplayCore, shared with the stream
+// engine (checkpoint.cpp).
+template <typename LastSize, obs::StatsSink Sink, typename Faults>
+SimResult replay(const trace::Trace& trace, cache::CacheFrontend& frontend,
+                 const SimulatorOptions& options, LastSize& last_size,
+                 Sink& sink, Faults& faults) {
+  detail::ReplayCore<LastSize, Sink, Faults> core(
+      frontend, options, last_size, sink, trace.requests.size(), faults);
   for (const trace::Request& r : trace.requests) core.step(r);
   return core.finish();
 }
 
 }  // namespace
 
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options) {
-  return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  cache::admission_limit_of(policy));
-}
-
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
-                   const SimulatorOptions& options,
-                   std::uint64_t admission_limit_bytes) {
-  cache::SingleCacheFrontend frontend(capacity_bytes, std::move(policy),
-                                      admission_limit_bytes);
-  return simulate(trace, frontend, options);
-}
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& cache,
-                   const SimulatorOptions& options) {
-  validate_options(options);
-  detail::SparseLastSize last_size(trace.requests.size());
-  obs::NullSink sink;
-  return simulate_loop(trace, cache, options, last_size, sink);
-}
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options) {
-  validate_options(options);
-  frontend.reserve_dense_ids(trace.document_count());
-  detail::DenseLastSize last_size(trace.document_count());
-  obs::NullSink sink;
-  return simulate_loop(trace.trace, frontend, options, last_size, sink);
-}
-
 SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
+                   const SimulatorOptions& options, const ReplayHooks& hooks) {
   validate_options(options);
-  detail::SparseLastSize last_size(trace.requests.size());
-  sink.begin_run(frontend);
-  SimResult result = simulate_loop(trace, frontend, options, last_size, sink);
-  sink.end_run();
-  return result;
+  return detail::with_hooks(
+      hooks, frontend.fault_domains(), /*has_root=*/false,
+      [&](auto& sink, auto& faults) {
+        detail::SparseLastSize last_size(trace.requests.size());
+        return replay(trace, frontend, options, last_size, sink, faults);
+      });
 }
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
+                   const SimulatorOptions& options, const ReplayHooks& hooks) {
   validate_options(options);
-  frontend.reserve_dense_ids(trace.document_count());
-  detail::DenseLastSize last_size(trace.document_count());
-  sink.begin_run(frontend);
-  SimResult result =
-      simulate_loop(trace.trace, frontend, options, last_size, sink);
-  sink.end_run();
-  return result;
+  return detail::with_hooks(
+      hooks, frontend.fault_domains(), /*has_root=*/false,
+      [&](auto& sink, auto& faults) {
+        frontend.reserve_dense_ids(trace.document_count());
+        detail::DenseLastSize last_size(trace.document_count());
+        return replay(trace.trace, frontend, options, last_size, sink,
+                      faults);
+      });
 }
 
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
+                   const SimulatorOptions& options, const ReplayHooks& hooks) {
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
                                       cache::admission_limit_of(policy));
-  return simulate(trace, frontend, options, sink);
+  return simulate(trace, frontend, options, hooks);
 }
 
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
+                   const SimulatorOptions& options, const ReplayHooks& hooks) {
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
                                       cache::admission_limit_of(policy));
-  return simulate(trace, frontend, options, sink);
-}
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options) {
-  return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  cache::admission_limit_of(policy));
-}
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
-                   const SimulatorOptions& options,
-                   std::uint64_t admission_limit_bytes) {
-  cache::SingleCacheFrontend frontend(capacity_bytes, std::move(policy),
-                                      admission_limit_bytes);
-  return simulate(trace, frontend, options);
+  return simulate(trace, frontend, options, hooks);
 }
 
 }  // namespace webcache::sim

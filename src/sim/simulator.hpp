@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
 #include "cache/factory.hpp"
@@ -66,75 +65,57 @@ inline void validate_options(const SimulatorOptions& options) {
 
 }  // namespace detail
 
+struct FaultSchedule;  // sim/faults.hpp
+
+/// Optional collaborators of one replay; both default to absent. The hooks
+/// pick the replay loop once per run, so a run without hooks executes the
+/// plain loop with no per-request branch on them.
+struct ReplayHooks {
+  /// Collects the windowed time series (obs/stats_sink.hpp). The sink only
+  /// observes: the SimResult is bit-identical to an uninstrumented run. Its
+  /// series() is valid after return; sinks are reusable (begin_run resets).
+  obs::RecordingSink* sink = nullptr;
+  /// Fault scenario (sim/faults.hpp). Node i is fault domain i of the
+  /// frontend (CacheFrontend::fault_domains): one for a plain cache, one per
+  /// document-class partition of a PartitionedCache. A crash drops the
+  /// domain's contents; while it is down its requests are lost, since a
+  /// single box has no failover path. Root and probe events are rejected
+  /// (std::invalid_argument). An empty schedule gives the plain result, and
+  /// lost requests are left out of the latency model.
+  const FaultSchedule* faults = nullptr;
+};
+
+/// Drives any CacheFrontend (a composite cache such as
+/// cache::PartitionedCache, or a SingleCacheFrontend over a plain Cache or a
+/// caller-built policy like the clairvoyant OPT bound) over the trace. The
+/// frontend arrives in whatever state the caller left it — pass a fresh one
+/// for a cold-start experiment.
+SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
+                   const SimulatorOptions& options = {},
+                   const ReplayHooks& hooks = {});
+
 /// Runs one policy at one cache size over the trace. LRU-Threshold specs
 /// additionally install their admission limit on the cache.
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
-                   const SimulatorOptions& options = {});
-
-/// Same, with a caller-constructed policy — the path for policies that need
-/// out-of-band state, e.g. the clairvoyant OPT bound built from the trace:
-///
-///   simulate(trace, capacity,
-///            std::make_unique<cache::OptPolicy>(trace.requests), options);
-///
-/// admission_limit_bytes > 0 installs Cache::set_admission_limit.
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
                    const SimulatorOptions& options = {},
-                   std::uint64_t admission_limit_bytes = 0);
-
-/// The most general form: drives any CacheFrontend (a composite cache such
-/// as cache::PartitionedCache, or an adapted plain Cache) over the trace.
-/// The frontend arrives in whatever state the caller left it — pass a fresh
-/// one for a cold-start experiment.
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options = {});
+                   const ReplayHooks& hooks = {});
 
 /// Dense-id fast path: a trace run through trace::densify() carries the
-/// document-count bound, so the cache's object table, the policy's index
-/// structures, and the simulator's last-size tracker all become flat arrays
-/// instead of hash maps. Emits bit-identical SimResults to the sparse
-/// overloads (same hits, same evictions, same tie-breaking) — only faster.
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options = {});
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
+/// document-count bound, so the frontend reserves the dense universe (the
+/// object tables and policy indexes become flat arrays instead of hash
+/// maps) and the last-size tracker becomes a flat vector. The frontend must
+/// be empty (CacheFrontend::reserve_dense_ids throws std::logic_error
+/// otherwise). Bit-identical SimResults to the sparse overloads (same hits,
+/// same evictions, same tie-breaking) — only faster.
+SimResult simulate(const trace::DenseTrace& trace,
+                   cache::CacheFrontend& frontend,
                    const SimulatorOptions& options = {},
-                   std::uint64_t admission_limit_bytes = 0);
-
-/// Dense frontend path: the frontend (e.g. a cache::PartitionedCache)
-/// reserves the trace's dense universe — every underlying cache switches to
-/// flat arrays — and the last-size tracker becomes a flat vector. The
-/// frontend must be empty (CacheFrontend::reserve_dense_ids throws
-/// std::logic_error otherwise). Bit-identical to the sparse frontend
-/// overload.
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options = {});
-
-// ---- instrumented runs (obs layer) ----
-//
-// Same replay, with a RecordingSink collecting the windowed time series
-// (obs/stats_sink.hpp). The final SimResult is bit-identical to the
-// uninstrumented overloads — the sink only observes. The sink's series()
-// is valid after return; sinks are reusable (begin_run resets).
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
-
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
+                   const ReplayHooks& hooks = {});
 
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
+                   const SimulatorOptions& options = {},
+                   const ReplayHooks& hooks = {});
 
 }  // namespace webcache::sim

@@ -1,16 +1,12 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
+#include "util/parallel.hpp"
 
 namespace webcache::sim {
 
@@ -46,8 +42,9 @@ SweepResult layout_grid(std::uint64_t overall_size_bytes,
 }
 
 // Fills every cell not marked in `skip` with run_cell(capacity, column),
-// either inline or on a worker pool. Every cell is an independent
-// simulation, so results are bit-identical for any thread count.
+// either inline or on a worker pool (util::parallel_for). Every cell is an
+// independent simulation, so results are bit-identical for any thread
+// count.
 void fill_grid(SweepResult& sweep, std::size_t columns,
                std::uint32_t config_threads, const std::vector<char>& skip,
                const CellRunner& run_cell) {
@@ -57,49 +54,12 @@ void fill_grid(SweepResult& sweep, std::size_t columns,
     if (skip.empty() || skip[cell] == 0) pending.push_back(cell);
   }
 
-  auto fill_cell = [&](std::size_t cell) {
+  util::parallel_for(pending.size(), config_threads, [&](std::size_t i) {
+    const std::size_t cell = pending[i];
     const std::size_t p = cell % columns;
     const std::size_t f = cell / columns;
-    sweep.points[f].results[p] =
-        run_cell(sweep.points[f].capacity_bytes, p);
-  };
-
-  std::uint32_t threads = config_threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, pending.size()));
-
-  if (threads <= 1) {
-    for (const std::size_t cell : pending) fill_cell(cell);
-    return;
-  }
-
-  // Workers must never let an exception escape (std::terminate); the first
-  // captured failure is rethrown on the calling thread after the join.
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&] {
-      try {
-        for (std::size_t i = next.fetch_add(1); i < pending.size();
-             i = next.fetch_add(1)) {
-          fill_cell(pending[i]);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-        // Drain the remaining cells so sibling workers finish promptly.
-        next.store(pending.size());
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (failure) std::rethrow_exception(failure);
+    sweep.points[f].results[p] = run_cell(sweep.points[f].capacity_bytes, p);
+  });
 }
 
 const trace::Trace& raw_trace(const trace::Trace& trace) { return trace; }
@@ -262,7 +222,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
                     capacity, cache::make_policy(spec),
                     cache::admission_limit_of(spec));
                 return simulate(trace, frontend, config.simulator,
-                                config.faults);
+                                {.faults = &config.faults});
               });
     return sweep;
   }
@@ -293,11 +253,9 @@ SweepResult run_frontend_sweep(const TraceT& trace,
   fill_grid(sweep, config.frontends.size(), config.threads, {},
             [&](std::uint64_t capacity, std::size_t p) {
               const auto frontend = build_frontend(config, p, capacity);
-              if (!config.faults.empty()) {
-                return simulate(trace, *frontend, config.simulator,
-                                config.faults);
-              }
-              return simulate(trace, *frontend, config.simulator);
+              return simulate(
+                  trace, *frontend, config.simulator,
+                  {.faults = config.faults.empty() ? nullptr : &config.faults});
             });
   return sweep;
 }

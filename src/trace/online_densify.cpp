@@ -23,7 +23,10 @@ OnlineDensifier::OnlineDensifier(Options options) : options_(options) {
 
 DocumentId OnlineDensifier::densify(DocumentId original) {
   if (const std::uint32_t idx = find_hot(original); idx != kNil) {
-    touch(idx);
+    // Recency only picks the mapping to spill. Until the tier is full
+    // nothing spills, so a hit skips the relink; the LRU order is then
+    // first-appearance order when the tier first fills.
+    if (slab_.size() >= options_.hot_capacity) touch(idx);
     return slab_[idx].dense;
   }
   DocumentId dense = 0;

@@ -110,8 +110,8 @@ TEST(Opt, WorksThroughSimulatorOverload) {
   }
   sim::SimulatorOptions opts;
   opts.warmup_fraction = 0.0;
-  const sim::SimResult opt = sim::simulate(
-      t, 20000, std::make_unique<OptPolicy>(t.requests), opts);
+  SingleCacheFrontend frontend(20000, std::make_unique<OptPolicy>(t.requests));
+  const sim::SimResult opt = sim::simulate(t, frontend, opts);
   EXPECT_EQ(opt.policy_name, "OPT");
   const sim::SimResult lru =
       sim::simulate(t, 20000, policy_spec_from_name("LRU"), opts);

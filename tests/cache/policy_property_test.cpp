@@ -258,20 +258,21 @@ TEST(RandomSeedTest, SeedIsNotPartOfTheDisplayName) {
 }
 
 TEST(PolicyPropertyOptTest, DenseReplayMatchesSparseForOpt) {
-  // OPT needs the whole request stream up front, so it goes through the
-  // explicit-policy simulate overload; the clairvoyant schedule must also be
+  // OPT needs the whole request stream up front, so it replays through a
+  // caller-built frontend; the clairvoyant schedule must also be
   // representation-independent. The dense OPT oracle is built from the
   // renumbered stream so its lookahead keys match the replayed ids.
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
     const trace::Trace& sparse = fuzz_traces()[t];
     const trace::DenseTrace& dense = fuzz_dense_traces()[t];
     const std::uint64_t capacity = sparse.overall_size_bytes() / 20;
-    expect_identical_results(
-        sim::simulate(sparse, capacity,
-                      std::make_unique<OptPolicy>(sparse.requests)),
-        sim::simulate(dense, capacity,
-                      std::make_unique<OptPolicy>(dense.trace.requests)),
-        "OPT trace " + std::to_string(t));
+    SingleCacheFrontend sparse_opt(
+        capacity, std::make_unique<OptPolicy>(sparse.requests));
+    SingleCacheFrontend dense_opt(
+        capacity, std::make_unique<OptPolicy>(dense.trace.requests));
+    expect_identical_results(sim::simulate(sparse, sparse_opt),
+                             sim::simulate(dense, dense_opt),
+                             "OPT trace " + std::to_string(t));
   }
 }
 

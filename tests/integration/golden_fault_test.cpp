@@ -117,7 +117,7 @@ TEST(GoldenFault, ScheduleReplayMatchesGoldenCounters) {
   ASSERT_FALSE(schedule.empty());
 
   const sim::HierarchyResult r =
-      sim::simulate_hierarchy(t, golden_config(t), schedule);
+      sim::simulate_hierarchy(t, golden_config(t), {.faults = &schedule});
   const auto actual = flatten(r);
 
   // The scenario must actually exercise every degraded-routing path —
@@ -157,7 +157,7 @@ TEST(GoldenFault, DensePathMatchesGoldenCounters) {
   const sim::FaultSchedule schedule =
       sim::load_fault_schedule_file(data_path("golden_faults.schedule"));
   const sim::HierarchyResult r =
-      sim::simulate_hierarchy(dense, golden_config(t), schedule);
+      sim::simulate_hierarchy(dense, golden_config(t), {.faults = &schedule});
   expect_matches_golden(read_golden(in), flatten(r), "dense");
 }
 

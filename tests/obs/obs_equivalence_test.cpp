@@ -88,12 +88,12 @@ TEST_P(ObsEquivalenceTest, RecordingSinkIsAPureObserver) {
   RecordingSink sink(500);
   const sim::SimResult a = sim::simulate(sparse, capacity, spec, options);
   const sim::SimResult b =
-      sim::simulate(sparse, capacity, spec, options, sink);
+      sim::simulate(sparse, capacity, spec, options, {.sink = &sink});
   expect_identical(a, b, GetParam() + " sparse");
 
   const sim::SimResult c = sim::simulate(dense, capacity, spec, options);
   const sim::SimResult d =
-      sim::simulate(dense, capacity, spec, options, sink);
+      sim::simulate(dense, capacity, spec, options, {.sink = &sink});
   expect_identical(c, d, GetParam() + " dense");
   expect_identical(a, d, GetParam() + " sparse vs dense instrumented");
 }
@@ -125,12 +125,14 @@ TEST(ObsEquivalence, OptBoundIsUnchangedByInstrumentation) {
   RecordingSink sink(500);
   cache::SingleCacheFrontend instrumented(
       capacity, std::make_unique<cache::OptPolicy>(sparse.requests));
-  const sim::SimResult b = sim::simulate(sparse, instrumented, options, sink);
+  const sim::SimResult b = sim::simulate(sparse, instrumented, options,
+                                         {.sink = &sink});
   expect_identical(a, b, "OPT sparse");
 
   cache::SingleCacheFrontend dense_fe(
       capacity, std::make_unique<cache::OptPolicy>(dense.trace.requests));
-  const sim::SimResult c = sim::simulate(dense, dense_fe, options, sink);
+  const sim::SimResult c = sim::simulate(dense, dense_fe, options,
+                                         {.sink = &sink});
   expect_identical(a, c, "OPT dense instrumented");
 }
 
@@ -148,8 +150,10 @@ TEST(ObsEquivalence, HierarchyIsUnchangedByInstrumentation) {
 
   const sim::HierarchyResult a = sim::simulate_hierarchy(sparse, config);
   RecordingSink sink(500);
-  const sim::HierarchyResult b = sim::simulate_hierarchy(sparse, config, sink);
-  const sim::HierarchyResult c = sim::simulate_hierarchy(dense, config, sink);
+  const sim::HierarchyResult b = sim::simulate_hierarchy(sparse, config,
+                                                         {.sink = &sink});
+  const sim::HierarchyResult c = sim::simulate_hierarchy(dense, config,
+                                                         {.sink = &sink});
 
   for (const auto* r : {&b, &c}) {
     expect_identical_counters(a.offered, r->offered, "offered");

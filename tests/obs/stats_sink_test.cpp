@@ -72,8 +72,8 @@ TEST(RecordingSink, RejectsZeroLengthWindows) {
 TEST(RecordingSink, WindowsPartitionTheRequestStream) {
   const trace::Trace t = recorded_trace();
   RecordingSink sink(kWindow);
-  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"),
-                {}, sink);
+  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"), {},
+                {.sink = &sink});
 
   const MetricsSeries& series = sink.series();
   EXPECT_EQ(series.window_requests, kWindow);
@@ -104,11 +104,11 @@ TEST(RecordingSink, SeriesSumsBackToAggregateExactly) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
     RecordingSink sink(kWindow);
     const sim::SimResult sparse =
-        sim::simulate(t, capacity_of(t), spec, {}, sink);
+        sim::simulate(t, capacity_of(t), spec, {}, {.sink = &sink});
     expect_sums_back(sink.series(), sparse, name + " sparse");
 
     const sim::SimResult densed =
-        sim::simulate(dense, capacity_of(t), spec, {}, sink);
+        sim::simulate(dense, capacity_of(t), spec, {}, {.sink = &sink});
     expect_sums_back(sink.series(), densed, name + " dense");
   }
 }
@@ -117,7 +117,8 @@ TEST(RecordingSink, PerClassCountersSumToOverallPerWindow) {
   const trace::Trace t = recorded_trace();
   RecordingSink sink(kWindow);
   sim::simulate(t, capacity_of(t),
-                cache::policy_spec_from_name("GDS(packet)"), {}, sink);
+                cache::policy_spec_from_name("GDS(packet)"), {},
+                {.sink = &sink});
 
   for (const WindowSample& w : sink.series().windows) {
     WindowCounters sum;
@@ -136,8 +137,8 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
 
   // GD* exposes the full probe: heap, inflation L, online beta.
   RecordingSink gdstar(kWindow);
-  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"),
-                {}, gdstar);
+  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"), {},
+                {.sink = &gdstar});
   for (const WindowSample& w : gdstar.series().windows) {
     EXPECT_TRUE(w.state.aging.has_value());
     EXPECT_TRUE(w.state.beta.has_value());
@@ -148,8 +149,8 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
 
   // LFU-DA has an aging term (the cache age) but no beta.
   RecordingSink lfuda(kWindow);
-  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("LFU-DA"),
-                {}, lfuda);
+  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("LFU-DA"), {},
+                {.sink = &lfuda});
   for (const WindowSample& w : lfuda.series().windows) {
     EXPECT_TRUE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
@@ -157,8 +158,9 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
 
   // LRU has neither; the capacity bound must hold in every snapshot.
   RecordingSink lru(kWindow);
-  const sim::SimResult r = sim::simulate(
-      t, capacity_of(t), cache::policy_spec_from_name("LRU"), {}, lru);
+  const sim::SimResult r =
+      sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("LRU"),
+                    {}, {.sink = &lru});
   for (const WindowSample& w : lru.series().windows) {
     EXPECT_FALSE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
@@ -172,11 +174,11 @@ TEST(RecordingSink, ReusableAcrossRuns) {
 
   RecordingSink sink(kWindow);
   const sim::SimResult first =
-      sim::simulate(t, capacity_of(t), spec, {}, sink);
+      sim::simulate(t, capacity_of(t), spec, {}, {.sink = &sink});
   const std::size_t first_windows = sink.series().windows.size();
 
   const sim::SimResult second =
-      sim::simulate(t, capacity_of(t), spec, {}, sink);
+      sim::simulate(t, capacity_of(t), spec, {}, {.sink = &sink});
   EXPECT_EQ(sink.series().windows.size(), first_windows)
       << "begin_run must reset the series";
   EXPECT_EQ(sink.series().total_requests, t.total_requests());
@@ -194,7 +196,8 @@ TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
   config.edge_capacity_bytes = config.root_capacity_bytes / 4;
 
   RecordingSink sink(kWindow);
-  const sim::HierarchyResult r = sim::simulate_hierarchy(t, config, sink);
+  const sim::HierarchyResult r = sim::simulate_hierarchy(t, config,
+                                                         {.sink = &sink});
 
   const WindowCounters totals = sink.series().totals();
   // The sink sees the client-offered stream: a hit is service by any level.
@@ -218,7 +221,7 @@ TEST(RecordingSink, PartitionedFrontendAggregatesTheProbe) {
 
   cache::PartitionedCache cache(config);
   RecordingSink sink(kWindow);
-  const sim::SimResult r = sim::simulate(t, cache, {}, sink);
+  const sim::SimResult r = sim::simulate(t, cache, {}, {.sink = &sink});
   expect_sums_back(sink.series(), r, "partitioned");
 
   for (const WindowSample& w : sink.series().windows) {

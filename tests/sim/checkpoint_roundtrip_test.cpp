@@ -3,8 +3,11 @@
 // resuming in a fresh process image has to yield bit-identical SimResults
 // (and metrics series) to the uninterrupted run — for every factory policy,
 // densified or sparse, instrumented or not, with or without a fault
-// schedule. A checkpoint whose fingerprint disagrees with the resuming run
-// must be rejected by name, never silently restored.
+// schedule. The stream engine with checkpoints off (every == 0) is the
+// plain streamed replay; with every == N, uninterrupted or split, it must
+// equal that and the materialized simulate(). A checkpoint whose
+// fingerprint disagrees with the resuming run must be rejected by name,
+// never silently restored.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -87,6 +90,15 @@ cache::SingleCacheFrontend make_frontend(const cache::PolicySpec& spec,
                                     cache::admission_limit_of(spec));
 }
 
+/// The stream engine with checkpoints off: a plain streamed replay.
+SimResult stream_replay(const trace::Trace& t, const cache::PolicySpec& spec,
+                        std::uint64_t capacity, StreamCheckpointJob job) {
+  job.checkpoint = {};
+  trace::MemoryRequestStream stream(t, 4096);
+  cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+  return simulate_stream_checkpointed(stream, frontend, job).result;
+}
+
 /// A fresh, empty checkpoint directory under the test temp root.
 std::string fresh_dir(const std::string& name) {
   const std::string dir = testing::TempDir() + "/webcache_ckpt_" + name;
@@ -120,10 +132,7 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
   std::size_t index = 0;
   for (const std::string& name : factory_policies()) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
-
-    trace::MemoryRequestStream s0(t, 4096);
-    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-    const SimResult baseline = simulate_stream(s0, f0, options);
+    const SimResult baseline = simulate(t, capacity, spec, options);
 
     const std::string dir = fresh_dir("policy_" + std::to_string(index++));
     StreamCheckpointJob job;
@@ -132,8 +141,19 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
     job.checkpoint.every = 919;  // prime: never aligns with chunk 4096
     job.checkpoint.keep = 2;
     job.checkpoint.trace_source = "synthetic-dfn-0.002";
-    job.checkpoint.stop_after_requests = half;
 
+    expect_identical(baseline, stream_replay(t, spec, capacity, job),
+                     name + " every=0");
+    {
+      trace::MemoryRequestStream s0(t, 4096);
+      cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+      expect_identical(baseline,
+                       simulate_stream_checkpointed(s0, f0, job).result,
+                       name + " every=919");
+      fs::remove_all(dir);
+    }
+
+    job.checkpoint.stop_after_requests = half;
     trace::MemoryRequestStream s1(t, 4096);
     cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
     const CheckpointedRun phase1 = simulate_stream_checkpointed(s1, f1, job);
@@ -169,10 +189,7 @@ TEST(CheckpointRoundTrip, DensifiedAllFactoryPoliciesSplitRunMatchesSparse) {
   std::size_t index = 0;
   for (const std::string& name : factory_policies()) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
-
-    trace::MemoryRequestStream s0(t, 4096);
-    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-    const SimResult baseline = simulate_stream(s0, f0, options);
+    const SimResult baseline = simulate(t, capacity, spec, options);
 
     const std::string dir =
         fresh_dir("densified_policy_" + std::to_string(index++));
@@ -182,10 +199,21 @@ TEST(CheckpointRoundTrip, DensifiedAllFactoryPoliciesSplitRunMatchesSparse) {
     job.checkpoint.every = 919;
     job.checkpoint.keep = 2;
     job.checkpoint.trace_source = "synthetic-dfn-0.002";
-    job.checkpoint.stop_after_requests = half;
     job.densified = true;
     job.densify_options = densify;
 
+    expect_identical(baseline, stream_replay(t, spec, capacity, job),
+                     name + " densified every=0");
+    {
+      trace::MemoryRequestStream s0(t, 4096);
+      cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+      expect_identical(baseline,
+                       simulate_stream_checkpointed(s0, f0, job).result,
+                       name + " densified every=919");
+      fs::remove_all(dir);
+    }
+
+    job.checkpoint.stop_after_requests = half;
     trace::MemoryRequestStream s1(t, 4096);
     cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
     EXPECT_TRUE(simulate_stream_checkpointed(s1, f1, job).stopped_early)
@@ -219,9 +247,8 @@ TEST(CheckpointRoundTrip, DensifiedInstrumentedThreeSegmentRun) {
 
     obs::RecordingSink baseline_sink(113);
     trace::MemoryRequestStream s0(t, 4096);
-    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-    const SimResult baseline =
-        simulate_stream_densified(s0, f0, options, baseline_sink, densify);
+    const SimResult baseline = simulate_stream_densified(
+        s0, capacity, spec, options, baseline_sink, densify);
     std::ostringstream baseline_json;
     write_metrics_json(baseline_json, baseline, baseline_sink.series());
 
@@ -279,10 +306,6 @@ TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
                      {half + 600, FaultKind::kEdgeRecover, 0}};
   schedule.seed = 17;
 
-  trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options, schedule);
-
   const std::string dir = fresh_dir("faults");
   StreamCheckpointJob job;
   job.options = options;
@@ -291,6 +314,8 @@ TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
   job.checkpoint.trace_source = "synthetic-dfn-0.002";
   job.checkpoint.stop_after_requests = half;
   job.faults = &schedule;
+  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+  const SimResult baseline = simulate(t, f0, options, {.faults = &schedule});
 
   trace::MemoryRequestStream s1(t, 4096);
   cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
@@ -313,9 +338,7 @@ TEST(CheckpointRoundTrip, ResumeOnEmptyDirectoryIsAColdStart) {
   const SimulatorOptions options;
   const cache::PolicySpec spec = cache::policy_spec_from_name("GDSF(1)");
 
-  trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options);
+  const SimResult baseline = simulate(t, capacity, spec, options);
 
   const std::string dir = fresh_dir("cold");
   StreamCheckpointJob job;
@@ -340,9 +363,7 @@ TEST(CheckpointRoundTrip, NoCheckpointConfigReplaysPlain) {
   const SimulatorOptions options;
   const cache::PolicySpec spec = cache::policy_spec_from_name("LFU-DA");
 
-  trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options);
+  const SimResult baseline = simulate(t, capacity, spec, options);
 
   StreamCheckpointJob job;  // every == 0, resume == false: no dir needed
   job.options = options;

@@ -104,13 +104,14 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
     config.sibling_cooperation = true;
 
     const HierarchyResult plain = simulate_hierarchy(sparse, config);
-    const HierarchyResult faulted = simulate_hierarchy(sparse, config, empty);
+    const HierarchyResult faulted = simulate_hierarchy(sparse, config,
+                                                       {.faults = &empty});
     expect_identical(plain, faulted, name + " sparse");
     expect_no_fault_stats(faulted.faults, name + " sparse");
 
     const HierarchyResult plain_dense = simulate_hierarchy(dense, config);
     const HierarchyResult faulted_dense =
-        simulate_hierarchy(dense, config, empty);
+        simulate_hierarchy(dense, config, {.faults = &empty});
     expect_identical(plain_dense, faulted_dense, name + " dense");
     expect_identical(plain, plain_dense, name + " sparse-vs-dense");
     expect_no_fault_stats(faulted_dense.faults, name + " dense");
@@ -133,12 +134,14 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainPartitioned) {
     cache::PartitionedCache plain_cache(config);
     const SimResult plain = simulate(sparse, plain_cache, options);
     cache::PartitionedCache fault_cache(config);
-    const SimResult faulted = simulate(sparse, fault_cache, options, empty);
+    const SimResult faulted = simulate(sparse, fault_cache, options,
+                                       {.faults = &empty});
     expect_identical(plain, faulted, name + " sparse");
     expect_no_fault_stats(faulted.faults, name + " sparse");
 
     cache::PartitionedCache dense_cache(config);
-    const SimResult faulted_dense = simulate(dense, dense_cache, options, empty);
+    const SimResult faulted_dense = simulate(dense, dense_cache, options,
+                                             {.faults = &empty});
     expect_identical(plain, faulted_dense, name + " dense");
     expect_no_fault_stats(faulted_dense.faults, name + " dense");
   }
@@ -158,11 +161,12 @@ TEST(FaultEquivalence, InstrumentedEmptyScheduleMatchesPlainSeries) {
   config.sibling_cooperation = true;
 
   obs::RecordingSink plain_sink(500);
-  const HierarchyResult plain = simulate_hierarchy(t, config, plain_sink);
+  const HierarchyResult plain = simulate_hierarchy(t, config,
+                                                   {.sink = &plain_sink});
   obs::RecordingSink fault_sink(500);
   const FaultSchedule empty;
   const HierarchyResult faulted =
-      simulate_hierarchy(t, config, empty, fault_sink);
+      simulate_hierarchy(t, config, {.sink = &fault_sink, .faults = &empty});
 
   expect_identical(plain, faulted, "instrumented");
   const obs::MetricsSeries& a = plain_sink.series();

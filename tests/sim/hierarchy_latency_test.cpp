@@ -76,11 +76,13 @@ TEST(HierarchyLatency, ZeroTimeoutScheduleIsBitIdenticalAcrossRtt) {
   schedule.probe_timeout_rate = 0.0;
   schedule.seed = 11;
 
-  const HierarchyResult baseline = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult baseline = simulate_hierarchy(t, config,
+                                                      {.faults = &schedule});
   EXPECT_EQ(baseline.faults.probe_timeouts, 0u);
 
   config.probe_rtt_ms = 9.5;
-  const HierarchyResult charged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult charged = simulate_hierarchy(t, config,
+                                                     {.faults = &schedule});
   EXPECT_EQ(baseline.miss_latency_ms, charged.miss_latency_ms);
   EXPECT_EQ(baseline.all_miss_latency_ms, charged.all_miss_latency_ms);
   EXPECT_EQ(baseline.combined_hit_rate(), charged.combined_hit_rate());
@@ -103,12 +105,14 @@ TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
   schedule.max_probe_retries = 2;
   schedule.seed = 3;
 
-  const HierarchyResult uncharged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult uncharged = simulate_hierarchy(t, config,
+                                                       {.faults = &schedule});
   ASSERT_GT(uncharged.faults.probe_timeouts, 0u);
 
   const double rtt = 5.0;
   config.probe_rtt_ms = rtt;
-  const HierarchyResult charged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult charged = simulate_hierarchy(t, config,
+                                                     {.faults = &schedule});
 
   // Routing is independent of the RTT charge: same probes, same hits.
   EXPECT_EQ(charged.faults.probe_timeouts, uncharged.faults.probe_timeouts);
@@ -135,9 +139,11 @@ TEST(HierarchyLatency, DenseAndSparseLatencyBitIdentical) {
   schedule.probe_timeout_rate = 0.75;
   schedule.seed = 21;
 
-  const HierarchyResult sparse = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult sparse = simulate_hierarchy(t, config,
+                                                    {.faults = &schedule});
   const trace::DenseTrace dense = trace::densify(t);
-  const HierarchyResult densified = simulate_hierarchy(dense, config, schedule);
+  const HierarchyResult densified = simulate_hierarchy(dense, config,
+                                                       {.faults = &schedule});
   EXPECT_EQ(sparse.miss_latency_ms, densified.miss_latency_ms);
   EXPECT_EQ(sparse.all_miss_latency_ms, densified.all_miss_latency_ms);
   EXPECT_EQ(sparse.faults.probe_timeouts, densified.faults.probe_timeouts);

@@ -1,8 +1,9 @@
 // The streaming replay must be a pure delivery change: driving the same
-// requests through simulate_stream() in chunks of any size has to yield
-// byte-identical SimResults to materializing them and calling simulate() —
-// for every factory policy, with metrics windows and fault schedules that
-// straddle chunk boundaries, and through the bounded online densifier.
+// requests through the stream engine (simulate_stream_checkpointed with
+// checkpoints off) in chunks of any size has to yield byte-identical
+// SimResults to materializing them and calling simulate() — for every
+// factory policy, with metrics windows and fault schedules that straddle
+// chunk boundaries, and through the bounded online densifier.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,9 +15,9 @@
 #include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/faults.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/reporter.hpp"
 #include "sim/simulator.hpp"
-#include "sim/streaming.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/binary_trace.hpp"
@@ -70,6 +71,23 @@ void expect_identical(const SimResult& a, const SimResult& b,
   }
 }
 
+// The stream engine with checkpoints off: a plain streamed replay.
+SimResult stream_replay(trace::RequestStream& stream,
+                        cache::CacheFrontend& frontend,
+                        const SimulatorOptions& options,
+                        const ReplayHooks& hooks = {}) {
+  return simulate_stream_checkpointed(stream, frontend, {hooks, options})
+      .result;
+}
+
+SimResult stream_replay(trace::RequestStream& stream, std::uint64_t capacity,
+                        const cache::PolicySpec& spec,
+                        const SimulatorOptions& options) {
+  cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec),
+                                      cache::admission_limit_of(spec));
+  return stream_replay(stream, frontend, options);
+}
+
 trace::Trace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
   return generator.generate();
@@ -106,7 +124,7 @@ TEST(StreamingEquivalence, AllFactoryPoliciesAllChunkings) {
     for (const std::size_t chunk : kChunkings) {
       trace::MemoryRequestStream stream(t, chunk);
       const SimResult streamed =
-          simulate_stream(stream, capacity, spec, options);
+          stream_replay(stream, capacity, spec, options);
       expect_identical(baseline, streamed,
                        name + " chunk=" + std::to_string(chunk));
     }
@@ -122,7 +140,8 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
   // Window length 113 (prime) never aligns with chunk 7 or 4096, so nearly
   // every window closes mid-chunk; compare the full serialized series.
   obs::RecordingSink baseline_sink(113);
-  const SimResult baseline = simulate(t, capacity, spec, options, baseline_sink);
+  const SimResult baseline = simulate(t, capacity, spec, options,
+                                      {.sink = &baseline_sink});
   std::ostringstream baseline_json;
   write_metrics_json(baseline_json, baseline, baseline_sink.series());
 
@@ -130,7 +149,8 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
     trace::MemoryRequestStream stream(t, chunk);
     cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     obs::RecordingSink sink(113);
-    const SimResult streamed = simulate_stream(stream, frontend, options, sink);
+    const SimResult streamed =
+        stream_replay(stream, frontend, options, {.sink = &sink});
     expect_identical(baseline, streamed,
                      "metrics chunk=" + std::to_string(chunk));
     std::ostringstream json;
@@ -158,13 +178,14 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
   schedule.seed = 17;
 
   cache::SingleCacheFrontend base_frontend(capacity, cache::make_policy(spec));
-  const SimResult baseline = simulate(t, base_frontend, options, schedule);
+  const SimResult baseline = simulate(t, base_frontend, options,
+                                      {.faults = &schedule});
 
   for (const std::size_t chunk : kChunkings) {
     trace::MemoryRequestStream stream(t, chunk);
     cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     const SimResult streamed =
-        simulate_stream(stream, frontend, options, schedule);
+        stream_replay(stream, frontend, options, {.faults = &schedule});
     expect_identical(baseline, streamed,
                      "faults chunk=" + std::to_string(chunk));
   }
@@ -172,7 +193,8 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
   // Instrumented fault replay: series must also match exactly.
   obs::RecordingSink baseline_sink(113);
   cache::SingleCacheFrontend bf2(capacity, cache::make_policy(spec));
-  const SimResult base2 = simulate(t, bf2, options, schedule, baseline_sink);
+  const SimResult base2 =
+      simulate(t, bf2, options, {.sink = &baseline_sink, .faults = &schedule});
   std::ostringstream baseline_json;
   write_metrics_json(baseline_json, base2, baseline_sink.series());
   for (const std::size_t chunk : kChunkings) {
@@ -180,7 +202,8 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
     cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     obs::RecordingSink sink(113);
     const SimResult streamed =
-        simulate_stream(stream, frontend, options, schedule, sink);
+        stream_replay(stream, frontend, options,
+                      {.sink = &sink, .faults = &schedule});
     expect_identical(base2, streamed,
                      "faulted metrics chunk=" + std::to_string(chunk));
     std::ostringstream json;
@@ -205,7 +228,7 @@ TEST(StreamingEquivalence, WarmupAndModificationRulesMatch) {
       const SimResult baseline = simulate(t, capacity, spec, options);
       trace::MemoryRequestStream stream(t, 7);
       const SimResult streamed =
-          simulate_stream(stream, capacity, spec, options);
+          stream_replay(stream, capacity, spec, options);
       expect_identical(baseline, streamed,
                        "rule " + std::to_string(static_cast<int>(rule)) +
                            " warmup " + std::to_string(warmup));
@@ -232,10 +255,12 @@ TEST(StreamingEquivalence, DensifiedStreamMatchesSparse) {
       trace::MemoryRequestStream stream(t, 4096);
       cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec),
                                           cache::admission_limit_of(spec));
-      trace::OnlineDensifier::Options densify;
-      densify.hot_capacity = hot;
+      StreamCheckpointJob job;
+      job.options = options;
+      job.densified = true;
+      job.densify_options.hot_capacity = hot;
       const SimResult streamed =
-          simulate_stream_densified(stream, frontend, options, densify);
+          simulate_stream_checkpointed(stream, frontend, job).result;
       expect_identical(baseline, streamed,
                        name + " hot=" + std::to_string(hot));
     }
@@ -257,13 +282,13 @@ TEST(StreamingEquivalence, FileReaderMatchesMaterializedLoad) {
                                   std::size_t{4096}}) {
     trace::StreamingTraceReader stream(path, chunk);
     EXPECT_EQ(stream.total_requests(), t.total_requests());
-    const SimResult streamed = simulate_stream(stream, capacity, spec, options);
+    const SimResult streamed = stream_replay(stream, capacity, spec, options);
     expect_identical(baseline, streamed,
                      "file chunk=" + std::to_string(chunk));
 
     // reset() must replay the identical stream.
     stream.reset();
-    const SimResult again = simulate_stream(stream, capacity, spec, options);
+    const SimResult again = stream_replay(stream, capacity, spec, options);
     expect_identical(baseline, again,
                      "file reset chunk=" + std::to_string(chunk));
   }

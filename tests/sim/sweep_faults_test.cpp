@@ -169,7 +169,7 @@ TEST(SweepFaults, FrontendSweepMatchesDirectPartitionedFaultReplay) {
       sweep.points[0].capacity_bytes, cache::policy_spec_from_name("LRU"),
       weights));
   const SimResult expected =
-      simulate(t, direct, config.simulator, config.faults);
+      simulate(t, direct, config.simulator, {.faults = &config.faults});
 
   const SimResult& cell = sweep.points[0].results[0];
   EXPECT_EQ(expected.overall.requests, cell.overall.requests);

@@ -20,6 +20,7 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "sim/reporter.hpp"
 #include "sim/sharded_replay.hpp"
 #include "sim/sampled_sweep.hpp"
-#include "sim/streaming.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile_io.hpp"
@@ -186,6 +186,14 @@ sim::SimulatorOptions simulator_options(const util::Args& args) {
     throw std::invalid_argument("--mod-rule must be threshold|any|never");
   }
   return opts;
+}
+
+/// The --faults schedule, reseeded by --fault-seed when given.
+sim::FaultSchedule load_faults(const util::Args& args) {
+  sim::FaultSchedule schedule =
+      sim::load_fault_schedule_file(args.get("faults", ""));
+  if (args.has("fault-seed")) schedule.seed = args.get_uint("fault-seed", 0);
+  return schedule;
 }
 
 synth::WorkloadProfile profile_by_name(const std::string& name) {
@@ -451,9 +459,8 @@ int cmd_simulate_stream(const util::Args& args) {
       std::max<std::uint64_t>(1, stream.total_requests() / 100);
   obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
 
-  // Any checkpoint flag routes through the checkpointed driver; without one
-  // the plain streaming replay runs untouched, so the off-cadence path is
-  // bit-identical to pre-checkpoint builds by construction.
+  // Without a checkpoint flag the engine runs with every == 0: a plain
+  // streamed replay.
   const bool checkpointing = args.has("checkpoint-dir") ||
                              args.has("checkpoint-every") ||
                              args.get_bool("resume", false);
@@ -463,52 +470,36 @@ int cmd_simulate_stream(const util::Args& args) {
         "schedule is part of the checkpoint fingerprint)");
   }
 
-  sim::SimResult r;
+  sim::StreamCheckpointJob job;
+  job.options = simulator_options(args);
   if (checkpointing) {
-    sim::StreamCheckpointJob job;
-    job.options = simulator_options(args);
     job.checkpoint.dir = args.get("checkpoint-dir", "");
     job.checkpoint.every = args.get_uint("checkpoint-every", 1'000'000);
     job.checkpoint.keep = args.get_uint("checkpoint-keep", 3);
     job.checkpoint.resume = args.get_bool("resume", false);
     job.checkpoint.trace_source = args.positional()[0];
-    job.densified = densified;
-    job.densify_options = densify;
-    if (!metrics_path.empty()) job.sink = &sink;
-    sim::FaultSchedule schedule;
-    if (args.has("faults")) {
-      schedule = sim::load_fault_schedule_file(args.get("faults", ""));
-      if (args.has("fault-seed")) {
-        schedule.seed = args.get_uint("fault-seed", 0);
-      }
-      job.faults = &schedule;
-    }
-    const sim::CheckpointedRun run =
-        sim::simulate_stream_checkpointed(stream, capacity, spec, job);
-    r = run.result;
-    for (const std::string& note : sim::checkpoint_resume_diagnostics()) {
-      std::cerr << "checkpoint: " << note << "\n";
-    }
-    if (run.resumed_from > 0) {
-      std::cerr << "checkpoint: resumed after request " << run.resumed_from
-                << "\n";
-    }
-    if (run.checkpoints_written > 0) {
-      std::cerr << "checkpoint: wrote " << run.checkpoints_written
-                << " checkpoint(s) to " << job.checkpoint.dir << "\n";
-    }
-  } else if (metrics_path.empty()) {
-    r = densified
-            ? sim::simulate_stream_densified(
-                  stream, capacity, spec, simulator_options(args), densify)
-            : sim::simulate_stream(stream, capacity, spec,
-                                   simulator_options(args));
-  } else {
-    r = densified ? sim::simulate_stream_densified(stream, capacity, spec,
-                                                   simulator_options(args),
-                                                   sink, densify)
-                  : sim::simulate_stream(stream, capacity, spec,
-                                         simulator_options(args), sink);
+  }
+  job.densified = densified;
+  job.densify_options = densify;
+  if (!metrics_path.empty()) job.sink = &sink;
+  sim::FaultSchedule schedule;
+  if (args.has("faults")) {
+    schedule = load_faults(args);
+    job.faults = &schedule;
+  }
+  const sim::CheckpointedRun run =
+      sim::simulate_stream_checkpointed(stream, capacity, spec, job);
+  const sim::SimResult& r = run.result;
+  for (const std::string& note : sim::checkpoint_resume_diagnostics()) {
+    std::cerr << "checkpoint: " << note << "\n";
+  }
+  if (run.resumed_from > 0) {
+    std::cerr << "checkpoint: resumed after request " << run.resumed_from
+              << "\n";
+  }
+  if (run.checkpoints_written > 0) {
+    std::cerr << "checkpoint: wrote " << run.checkpoints_written
+              << " checkpoint(s) to " << job.checkpoint.dir << "\n";
   }
   if (!metrics_path.empty()) write_metrics_file(metrics_path, r, sink);
   if (args.has("result-out")) write_result_json(args.get("result-out", ""), r);
@@ -585,7 +576,8 @@ int cmd_simulate(const util::Args& args) {
     const std::uint64_t default_window =
         std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = sim::simulate(t, capacity, spec, simulator_options(args), sink);
+    r = sim::simulate(t, capacity, spec, simulator_options(args),
+                      {.sink = &sink});
     write_metrics_file(metrics_path, r, sink);
   }
 
@@ -695,12 +687,7 @@ int cmd_sweep(const util::Args& args) {
     }
   }
   config.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
-  if (args.has("faults")) {
-    config.faults = sim::load_fault_schedule_file(args.get("faults", ""));
-    if (args.has("fault-seed")) {
-      config.faults.seed = args.get_uint("fault-seed", 0);
-    }
-  }
+  if (args.has("faults")) config.faults = load_faults(args);
   const std::string one_pass = args.get("one-pass", "auto");
   if (one_pass == "auto") {
     config.one_pass = sim::OnePassMode::kAuto;
@@ -781,39 +768,36 @@ int cmd_hierarchy(const util::Args& args) {
 
   const bool have_faults = args.has("faults");
   sim::FaultSchedule schedule;
+  sim::ReplayHooks hooks;
   if (have_faults) {
-    schedule = sim::load_fault_schedule_file(args.get("faults", ""));
-    if (args.has("fault-seed")) {
-      schedule.seed = args.get_uint("fault-seed", 0);
-    }
+    schedule = load_faults(args);
+    hooks.faults = &schedule;
   }
 
+  // Instrumented replay: identical results, plus the windowed series (with
+  // per-window availability and warm-up curves under --faults).
   const std::string metrics_path = args.get("metrics-out", "");
-  sim::HierarchyResult r;
-  if (metrics_path.empty()) {
-    r = have_faults ? sim::simulate_hierarchy(t, config, schedule)
-                    : sim::simulate_hierarchy(t, config);
-  } else {
-    // Instrumented replay: identical results, plus the windowed series
-    // (with per-window availability and warm-up curves under --faults).
+  std::optional<obs::RecordingSink> sink;
+  if (!metrics_path.empty()) {
     const std::uint64_t default_window =
         std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
-    obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = have_faults ? sim::simulate_hierarchy(t, config, schedule, sink)
-                    : sim::simulate_hierarchy(t, config, sink);
+    hooks.sink = &sink.emplace(args.get_uint("metrics-window", default_window));
+  }
+  const sim::HierarchyResult r = sim::simulate_hierarchy(t, config, hooks);
+  if (sink) {
     std::ofstream out(metrics_path);
     if (!out) throw std::runtime_error("cannot open " + metrics_path);
     const bool csv = metrics_path.size() >= 4 &&
                      metrics_path.compare(metrics_path.size() - 4, 4,
                                           ".csv") == 0;
     if (csv) {
-      sim::write_metrics_csv(out, sink.series());
+      sim::write_metrics_csv(out, sink->series());
     } else {
-      sim::write_hierarchy_metrics_json(out, r, sink.series());
+      sim::write_hierarchy_metrics_json(out, r, sink->series());
     }
     std::cerr << "wrote " << metrics_path << " ("
-              << sink.series().windows.size() << " windows of "
-              << sink.window_requests() << " requests)\n";
+              << sink->series().windows.size() << " windows of "
+              << sink->window_requests() << " requests)\n";
   }
 
   util::Table table(std::to_string(config.edge_count) + " edges (" +
